@@ -567,9 +567,9 @@ func BenchmarkBroadcastWake(b *testing.B) {
 	}
 }
 
-// SemBatchPost: releasing k parked waiters with one PostN (single lock
-// acquisition, chained hand-off) versus k serial Posts — the sem-layer
-// half of the batched wake path.
+// SemBatchPost: releasing k parked waiters with one PostN (one lock
+// acquisition for the whole batch) versus k serial Posts — the
+// sem-layer half of the batched wake path.
 func BenchmarkSemBatchPost(b *testing.B) {
 	const k = 64
 	run := func(b *testing.B, post func(s *sem.Sem)) {

@@ -128,7 +128,7 @@ func reportImpureCall(pass *Pass, info *types.Info, call *ast.CallExpr) bool {
 	if recv, name, ok := methodCall(info, call); ok {
 		if pathIs(recv.Obj().Pkg(), semPathSuffix) && recv.Obj().Name() == "Sem" {
 			switch name {
-			case "Post", "PostN", "PostAll":
+			case "Post", "PostN":
 				pass.Report(call.Pos(), "impuretxn",
 					"sem.%s inside a transaction body wakes threads even if the attempt aborts; register it with tx.OnCommit (Algorithm 5 line 9)", name)
 				return true

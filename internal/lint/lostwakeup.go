@@ -102,7 +102,7 @@ func notifyReachable(mod *Module, info *types.Info, body *ast.BlockStmt) bool {
 				return false
 			}
 			if recv.Obj().Name() == "Sem" && pathIs(recv.Obj().Pkg(), semPathSuffix) &&
-				(name == "Post" || name == "PostN" || name == "PostAll") {
+				(name == "Post" || name == "PostN") {
 				found = true
 				return false
 			}

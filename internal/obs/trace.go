@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -41,11 +42,6 @@ const (
 	EvWakeHop  // chain hop posted; Lane = node id, A = poster's node id (0 = the notifier), B = hop index
 	EvWakeEnd  // wake consumed; Lane = node id, A = hop index, B = consumer code (WakeBy*)
 	EvWakeTxn  // woken waiter's next commit; Lane = txn id, A = hop index
-
-	// EvSemHandoff is the semaphore-level analogue of EvWakeHop: one hop
-	// of a batched PostN/PostAll hand-off chain, stamped when the woken
-	// waiter consumes its signal. Lane = sem lane, A = hop index.
-	EvSemHandoff
 )
 
 // String returns the exporter-facing event name.
@@ -87,8 +83,6 @@ func (t EventType) String() string {
 		return "cv.wake.consume"
 	case EvWakeTxn:
 		return "cv.wake.txn"
-	case EvSemHandoff:
-		return "sem.handoff"
 	default:
 		return "unknown"
 	}
@@ -185,9 +179,11 @@ type Event struct {
 // slot is one ring-buffer cell. All fields are atomics so that the rare
 // wrap-around collision (two writers claiming positions exactly capacity
 // apart) is a torn event, not a data race. seq is the publication word:
-// zero means empty, otherwise it is the 1-based claim ticket.
+// zero means empty, otherwise it is the 1-based claim ticket. at is the
+// append time, which is later than ts for pre-stamped events.
 type slot struct {
 	seq  atomic.Uint64
+	at   atomic.Int64
 	ts   atomic.Int64
 	dur  atomic.Int64
 	typ  atomic.Int64
@@ -265,7 +261,8 @@ func (t *Tracer) Emit(lane uint64, typ EventType, a, b int64) {
 	if !t.Enabled() {
 		return
 	}
-	t.record(Event{TS: t.Now(), Type: typ, Lane: lane, A: a, B: b})
+	now := t.Now()
+	t.record(Event{TS: now, Type: typ, Lane: lane, A: a, B: b}, now)
 }
 
 // EmitFlow records an instant event stamped now and tagged with a causal
@@ -277,7 +274,8 @@ func (t *Tracer) EmitFlow(lane uint64, typ EventType, flow uint64, a, b int64) {
 	if !t.Enabled() {
 		return
 	}
-	t.record(Event{TS: t.Now(), Type: typ, Lane: lane, A: a, B: b, Flow: flow})
+	now := t.Now()
+	t.record(Event{TS: now, Type: typ, Lane: lane, A: a, B: b, Flow: flow}, now)
 }
 
 // EmitEvent records a pre-stamped event (buffered flushes and span
@@ -286,13 +284,14 @@ func (t *Tracer) EmitEvent(ev Event) {
 	if !t.Enabled() {
 		return
 	}
-	t.record(ev)
+	t.record(ev, t.Now())
 }
 
-func (t *Tracer) record(ev Event) {
+func (t *Tracer) record(ev Event, at int64) {
 	sh := &t.shards[ev.Lane&(numShards-1)]
 	n := sh.pos.Add(1)
 	s := &sh.buf[(n-1)&uint64(len(sh.buf)-1)]
+	s.at.Store(at)
 	s.ts.Store(ev.TS)
 	s.dur.Store(ev.Dur)
 	s.typ.Store(int64(ev.Type))
@@ -319,16 +318,29 @@ func (t *Tracer) Emitted() uint64 {
 // Events returns the retained events sorted by timestamp. Call it after
 // emitters have quiesced (end of a run); events appended concurrently may
 // be missed or torn. Safe on nil.
+//
+// Shards wrap independently, so a busy shard has evicted events that a
+// quiet one still holds. Events therefore cuts the window at the append
+// time of the oldest event a wrapped shard retains, the newest such cut
+// over all shards: every event stamped at or after it is retained on
+// every shard, so a wake flow whose root survives is complete.
 func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
+	}
+	cut := int64(math.MinInt64)
+	for i := range t.shards {
+		sh := &t.shards[i]
+		if pos := sh.pos.Load(); pos > uint64(len(sh.buf)) {
+			cut = max(cut, sh.buf[pos&uint64(len(sh.buf)-1)].at.Load())
+		}
 	}
 	var out []Event
 	for i := range t.shards {
 		sh := &t.shards[i]
 		for j := range sh.buf {
 			s := &sh.buf[j]
-			if s.seq.Load() == 0 {
+			if s.seq.Load() == 0 || s.ts.Load() < cut {
 				continue
 			}
 			typ := EventType(s.typ.Load())

@@ -82,6 +82,37 @@ func TestTracerWrapKeepsRecentWindow(t *testing.T) {
 	}
 }
 
+// Shards wrap independently: a flood on one lane evicts its shard's old
+// events while a quiet lane's shard keeps its own. Events must cut the
+// merged window where the flooded shard's retention starts, so an event
+// older than some eviction never survives on another shard (a wake flow
+// would keep its root but lose its evicted hops).
+func TestTracerEventsCutAtNewestEviction(t *testing.T) {
+	tr := NewTracer(1024) // 64 slots per shard
+	tr.Enable()
+	tr.Emit(1, EvCVEnqueue, 0, 0) // quiet shard, before the flood
+	const n = 1000                // lane 2's shard wraps many times
+	for i := 0; i < n; i++ {
+		tr.Emit(2, EvCVNotify, int64(i), 0)
+	}
+	tr.Emit(1, EvCVWake, 0, 0) // quiet shard, after the flood
+	tr.Disable()
+	var notifies, wakes int
+	for _, ev := range tr.Events() {
+		switch ev.Type {
+		case EvCVEnqueue:
+			t.Fatalf("event from before the flooded shard's window survived: %+v", ev)
+		case EvCVNotify:
+			notifies++
+		case EvCVWake:
+			wakes++
+		}
+	}
+	if per := len(tr.shards[0].buf); notifies != per || wakes != 1 {
+		t.Fatalf("retained %d notifies and %d wakes, want %d and 1", notifies, wakes, per)
+	}
+}
+
 func TestEventNamesAndCategories(t *testing.T) {
 	all := []EventType{
 		EvTxnStart, EvTxnCommit, EvTxnAbort, EvTxnEarlyCommit, EvTxnSerial,

@@ -90,7 +90,6 @@ func TestPostNBatchConservation(t *testing.T) {
 // fairness of the batched path).
 func TestPostNFIFOFairness(t *testing.T) {
 	s := NewBinary()
-	s.SetLanes(1) // FIFO order across a whole batch is a single-lane property
 	done := parkN(t, s, 4)
 
 	s.PostN(2)
@@ -111,27 +110,6 @@ func TestPostNFIFOFairness(t *testing.T) {
 	s.PostN(2)
 	waitClosed(t, done[2], "third waiter")
 	waitClosed(t, done[3], "fourth waiter")
-}
-
-// PostAll wakes everyone, banks nothing, and reports the batch size.
-func TestPostAll(t *testing.T) {
-	s := NewBinary()
-	if n := s.PostAll(); n != 0 {
-		t.Fatalf("PostAll on empty sem = %d, want 0", n)
-	}
-	if v := s.Value(); v != 0 {
-		t.Fatalf("PostAll banked %d permits on an empty sem", v)
-	}
-	done := parkN(t, s, 32)
-	if n := s.PostAll(); n != 32 {
-		t.Fatalf("PostAll = %d, want 32", n)
-	}
-	for _, ch := range done {
-		waitClosed(t, ch, "broadcast waiter")
-	}
-	if v := s.Value(); v != 0 {
-		t.Errorf("Value = %d after PostAll, want 0", v)
-	}
 }
 
 // The PostN doc contract: one fault.SemPost draw per batch, not per
@@ -162,8 +140,8 @@ func TestPostNSingleFaultDraw(t *testing.T) {
 // Conservation under churn: timed waiters racing a batching poster never
 // lose a permit — every posted permit is either consumed by a successful
 // WaitTimeout (including timeout-losers that keep a raced permit) or
-// left banked. This hammers the chained hand-off through detached
-// waiters that are concurrently timing out.
+// left banked. This hammers the batched hand-off to dequeued waiters
+// that are concurrently timing out.
 func TestPostNTimeoutRaceConservation(t *testing.T) {
 	s := NewBinary()
 	const workers = 16
@@ -251,16 +229,16 @@ func TestSpinBudgetTuner(t *testing.T) {
 // spinWait respects its budget: with no signal it returns false after a
 // bounded number of polls; a signal already in the channel is consumed.
 func TestSpinWaitBounded(t *testing.T) {
-	w := &waiter{ch: make(chan wake, 1)}
+	w := &waiter{ch: make(chan struct{}, 1)}
 	start := time.Now()
-	if _, ok := spinWait(w, spinLimit); ok {
+	if spinWait(w, spinLimit) {
 		t.Fatal("spinWait reported a signal on an empty channel")
 	}
 	if d := time.Since(start); d > time.Second {
 		t.Fatalf("spinWait(%d) took %v — unbounded spin", spinLimit, d)
 	}
-	w.ch <- wake{}
-	if _, ok := spinWait(w, 1); !ok {
+	w.ch <- struct{}{}
+	if !spinWait(w, 1) {
 		t.Fatal("spinWait missed a buffered signal")
 	}
 }

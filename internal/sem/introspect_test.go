@@ -60,12 +60,8 @@ func TestWaiterAges(t *testing.T) {
 // same discipline parkEnd applies to the park histogram.
 func TestWaiterAgeClamped(t *testing.T) {
 	s := NewBinary()
-	w := &waiter{ch: make(chan wake, 1)}
-	l := &s.lanes().lanes[0]
-	l.mu.lock()
-	l.enqueue(w)
+	w := s.enqueue()
 	w.parkedAt = time.Now().Add(time.Hour) // hostile: park "begins" in the future
-	l.mu.unlock()
 
 	if ages := s.WaiterAges(); len(ages) != 1 || ages[0] != 0 {
 		t.Fatalf("WaiterAges = %v, want [0]", ages)

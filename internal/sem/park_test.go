@@ -91,3 +91,45 @@ func TestParkUninstrumentedNoClock(t *testing.T) {
 	s.parkEnd(time.Time{})   // zero t0: must be a no-op, not a panic
 	s.parkEnd(s.parkStart()) // no sink: must observe nothing
 }
+
+// The park fast path is allocation-free in steady state: waiter structs
+// (with their hand-off channels) are pooled, so a post/wait round-trip
+// through a real park allocates nothing. This is the overhead-gate
+// guard verify.sh runs.
+func TestWaitPooledNoAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates on the park path")
+	}
+	s1, s2 := NewBinary(), NewBinary()
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			s1.Wait()
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			s2.Post()
+		}
+	}()
+	// Warm the waiter pool: a GC triggered by earlier tests' garbage may
+	// have emptied it, and the guard is about the steady state, not the
+	// cold start.
+	for i := 0; i < 8; i++ {
+		s1.Post()
+		s2.Wait()
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		s1.Post()
+		s2.Wait()
+	})
+	close(stop)
+	s1.Post()
+	<-done
+	if allocs != 0 {
+		t.Errorf("park round-trip allocates %.2f objects/op, want 0", allocs)
+	}
+}

@@ -3,61 +3,43 @@
 // The paper ("Transaction-Friendly Condition Variables", SPAA 2014)
 // represents each condition variable as a transactional queue of
 // per-thread counting semaphores (its Algorithm 3 uses POSIX sem_t).
-// This package is the Go substrate for that role: a from-scratch
-// counting semaphore with the two properties the condition-variable
-// algorithm depends on:
+// This package is that substrate, with the two properties the
+// condition-variable algorithm depends on:
 //
 //  1. Memory: a Post that happens before the matching Wait is never
-//     lost — Wait consumes the permit and returns immediately. This is
-//     what makes the condvar's WAIT immune to the "missed notify" race:
-//     the waiter enqueues itself and completes its sync block *before*
-//     sleeping; if a notifier runs in that window, its SemPost is
-//     memorized by the semaphore.
-//  2. Direct hand-off: a Post that finds a parked waiter hands the
-//     permit to it directly (the permit never becomes visible to a
-//     barging TryWait), so combined with the condvar's queue this
-//     yields the deterministic wake-up semantics of Section 3.4.
+//     lost. The condvar's WAIT enqueues itself and completes its sync
+//     block *before* sleeping; a notifier's SemPost in that window is
+//     memorized, so the "missed notify" race cannot happen.
+//  2. Direct hand-off: a Post that finds a parked waiter hands it the
+//     permit directly (a barging TryWait never sees it), which with the
+//     condvar's queue gives the deterministic wake-ups of Section 3.4.
 //
-// Waiters are descheduled (parked on a channel) rather than spinning, so
-// the "Yielding" requirement of Section 3.4 holds even with heavy
-// oversubscription of goroutines over OS threads.
+// Waiters park on a channel rather than spin, so the "Yielding"
+// requirement of Section 3.4 holds under heavy oversubscription.
 //
-// # Striped waiter lanes
+// # One queue, global FIFO
 //
-// Parked waiters live in per-P striped lanes (Dice & Kogan, "Semaphores
-// Augmented with a Waiting Array"): a waiter enqueues on the lane of the
-// P it is running on, posts drain lanes round-robin and steal from other
-// lanes when their first pick is empty. FIFO order is preserved within a
-// lane; global FIFO holds only for a single-lane semaphore (the default
-// when GOMAXPROCS is 1, or after SetLanes(1)). Banked permits — posts
-// that found no waiter — live in one global atomic counter, never in a
-// lane, so timeout and cancellation losers just unlink from their lane
-// and never have to repair the count.
+// A Sem is a banked permit count plus one intrusive FIFO list of parked
+// waiters under one sync.Mutex (the low-level lock the paper assumes
+// underneath sem_t). Post hands its permit to the head waiter or, when
+// nobody is parked, banks it; Wait takes a banked permit or enqueues at
+// the tail and parks. Both decisions are made under the lock, so a
+// permit is never banked while a waiter is parked, and blocked waiters
+// wake in exactly the order they parked. The count is also an atomic,
+// so TryWait and the Wait fast path take a banked permit without the
+// lock. Timeout and cancellation losers unlink under the lock; a loser
+// a Post already dequeued keeps the permit, so none is ever lost.
 //
-// The post protocol is scan → bank → rescan:
-//
-//  1. scan the lanes for a parked waiter; if one is found the permit is
-//     handed off directly and the counter is never touched (no barging
-//     window);
-//  2. otherwise bank the permit (one uncontended atomic add);
-//  3. rescan the lanes once: a waiter that enqueued between the scan and
-//     the bank rechecked the counter under its lane lock *after*
-//     enqueueing, so either it saw the banked permit and self-served, or
-//     its enqueue is visible to this rescan, which reclaims the banked
-//     permit (a CAS that can lose only to a concurrent acquire — in
-//     which case the permit went to that acquirer and the post's
-//     obligation is met) and hands it off.
-//
-// The lane-lock/recheck pairing on the wait side and the bank-before-
-// rescan ordering on the post side are what close the lost-wake-up
-// window; DESIGN.md §16 carries the full argument.
+// Per-P striped waiter lanes (Dice & Kogan, "Semaphores Augmented with
+// a Waiting Array") pay only when many waiters share one semaphore; a
+// condvar node semaphore parks at most one, and an A/B on the repository
+// benchmark showed no gain, so they were removed (DESIGN.md §16.1).
 package sem
 
 import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -78,327 +60,94 @@ type Stats struct {
 	Timeouts  stats.Counter // WaitTimeout expirations
 	Cancels   stats.Counter // WaitCtx cancellations
 
-	// ParkNanos distributes the park duration of Waits that had to
-	// deschedule the caller (fast-path and spin-phase Waits are not
-	// observed).
-	ParkNanos obs.Histogram
+	ParkNanos obs.Histogram // park durations of the Waits counted in Blocks
 }
 
-// wake is the value a parked waiter receives from its hand-off channel.
-// A plain Post carries the zero value; a batched PostN/PostAll carries
-// the head of the remaining detached chain, which the receiver must
-// unpark before doing anything else (chained hand-off: the notifier pays
-// for one wake-up, each woken waiter pays for the next, so a broadcast
-// over N waiters is not N serial channel sends on the notifier's
-// goroutine). A non-zero flow is the causal-flow id of a PostNFlow/
-// PostAllFlow batch (DESIGN.md §15): hop is this waiter's 0-based chain
-// position, both are stamped into an EvSemHandoff event when the signal
-// is consumed and inherited (hop+1) by the forwarded successor.
-type wake struct {
-	next *waiter
-	flow uint64
-	hop  int32
-}
-
-// waiter is one parked goroutine. The channel has capacity 1 so that a
-// poster never blocks handing over a permit. Waiters are pooled: every
-// exit path provably drains the channel before releasing the struct, so
-// reuse can never deliver a stale signal.
+// waiter is one parked goroutine. The channel has capacity 1 so a poster
+// never blocks. parkedAt is stamped and read under the semaphore lock
+// (the park-age source behind /debug/cv/waiters).
 type waiter struct {
-	ch   chan wake
-	next *waiter
-
-	// lane is the index of the lane this waiter enqueued on, remembered
-	// so timeout/cancel losers unlink from the right lane without a scan.
-	lane uint32
-
-	// parkedAt is the monotonic park-start timestamp, stamped under the
-	// lane lock by enqueue and read under the same lock by
-	// WaiterAges/OldestParkAge — the live park-age source behind
-	// /debug/cv/waiters.
+	ch       chan struct{}
+	next     *waiter
 	parkedAt time.Time
 }
 
-// waiterPool recycles waiter structs (and their hand-off channels) so the
-// park path allocates nothing in steady state. A struct is returned only
-// once its channel is provably empty: either the signal was consumed, or
-// the waiter was unlinked under its lane lock before any poster could
-// have dequeued it.
-var waiterPool = sync.Pool{New: func() any { return &waiter{ch: make(chan wake, 1)} }}
-
-func getWaiter() *waiter { return waiterPool.Get().(*waiter) }
+// waiterPool recycles waiters (channel included) so a warm park
+// allocates nothing. A waiter is put back only once its channel is
+// provably empty: its signal was consumed, or it unlinked itself first.
+var waiterPool = sync.Pool{New: func() any { return &waiter{ch: make(chan struct{}, 1)} }}
 
 func putWaiter(w *waiter) {
 	w.next = nil
 	waiterPool.Put(w)
 }
 
-// laneHint rides a sync.Pool to give each P a stable lane index without
-// touching runtime internals: Pool.Get serves the P-local slot first, so
-// consecutive waiters on one P see the same hint while different Ps get
-// hints minted from a round-robin counter. The hint is advisory — any
-// value is correct, it only steers locality.
-type laneHint struct{ n uint32 }
-
-var (
-	laneHintSeq  atomic.Uint32
-	laneHintPool = sync.Pool{New: func() any {
-		return &laneHint{n: laneHintSeq.Add(1) - 1}
-	}}
-)
-
-func poolLaneIndex() uint32 {
-	h := laneHintPool.Get().(*laneHint)
-	n := h.n
-	laneHintPool.Put(h)
-	return n
-}
-
-// laneIndexFn returns the lane-affinity hint for the calling goroutine.
-// A package variable so tests on a single-P host can force cross-lane
-// placement deterministically.
-var laneIndexFn = poolLaneIndex
-
-// Spin-then-park tuning bounds (Dice & Kogan: a bounded optimistic spin
-// before the park removes the kernel round-trip when hand-offs are fast,
-// and must decay to pure parking when they are not).
+// Spin-then-park bounds (Dice & Kogan: a short spin skips the park when
+// hand-offs are fast, and must decay to pure parking when they are not).
 const (
-	// spinLimit caps the adaptive spin budget (poll iterations with a
-	// Gosched between them — cooperative, never a hard busy loop).
-	spinLimit = 128
-	// spinParkThreshold is the park latency under which a hand-off is
-	// considered "fast": parks shorter than this grow the spin budget,
-	// longer ones shrink it.
-	spinParkThreshold = 50 * time.Microsecond
-	// maxLanes bounds the stripe width however large GOMAXPROCS gets;
-	// beyond this the scan cost outweighs the contention win.
-	maxLanes = 64
+	spinLimit         = 128                   // max polls, a Gosched between each
+	spinParkThreshold = 50 * time.Microsecond // parks shorter than this grow the budget
 )
-
-// lane is one stripe of the waiter array: a FIFO list under its own
-// lock, with an atomic length so posts can skip empty lanes without
-// taking the lock. Padded to keep neighbouring lanes off one cache line.
-type lane struct {
-	mu         mutex
-	head, tail *waiter
-	n          atomic.Int32
-	_          [36]byte // pad to 64 bytes: keep neighbouring lanes apart
-}
-
-func (l *lane) enqueue(w *waiter) {
-	w.parkedAt = time.Now()
-	if l.tail == nil {
-		l.head, l.tail = w, w
-	} else {
-		l.tail.next = w
-		l.tail = w
-	}
-	l.n.Add(1)
-}
-
-// pop removes and returns the lane's longest-waiting waiter, or nil.
-func (l *lane) pop() *waiter {
-	w := l.head
-	if w == nil {
-		return nil
-	}
-	l.head = w.next
-	if l.head == nil {
-		l.tail = nil
-	}
-	w.next = nil
-	l.n.Add(-1)
-	return w
-}
-
-// detach removes up to n waiters from the head of the lane, preserving
-// their intra-batch next links, and cuts the last link into the
-// remaining queue. It returns the batch head and the number detached.
-func (l *lane) detach(n int) (*waiter, int) {
-	if n <= 0 || l.head == nil {
-		return nil, 0
-	}
-	head := l.head
-	last, cnt := head, 1
-	for cnt < n && last.next != nil {
-		last = last.next
-		cnt++
-	}
-	l.head = last.next
-	if l.head == nil {
-		l.tail = nil
-	}
-	last.next = nil
-	l.n.Add(int32(-cnt))
-	return head, cnt
-}
-
-// unlink removes w from the lane, reporting whether it was still present.
-func (l *lane) unlink(w *waiter) bool {
-	var prev *waiter
-	for cur := l.head; cur != nil; cur = cur.next {
-		if cur == w {
-			if prev == nil {
-				l.head = cur.next
-			} else {
-				prev.next = cur.next
-			}
-			if l.tail == cur {
-				l.tail = prev
-			}
-			cur.next = nil
-			l.n.Add(-1)
-			return true
-		}
-		prev = cur
-	}
-	return false
-}
-
-// laneSet is an immutable lane array; Sem swaps the whole set atomically
-// so the zero value can lazily install its lanes on first use.
-type laneSet struct {
-	mask  uint32 // len(lanes)-1; lane count is a power of two
-	lanes []lane
-}
 
 // Sem is a counting semaphore. The zero value is a semaphore with zero
 // permits; use New to start with an initial count.
 //
 // Sem must not be copied after first use.
 type Sem struct {
-	// count holds banked permits only — posts that found no waiter.
-	// It is never negative; parked waiters are counted by the lanes.
-	// Permits handed directly to a parked waiter never pass through it.
+	mu sync.Mutex
+
+	// count holds banked permits, positive only while the queue is
+	// empty. Increments happen under mu; decrements are a CAS.
 	count atomic.Int64
 
-	// ls is the current lane set, installed lazily for the zero value.
-	ls atomic.Pointer[laneSet]
+	// head/tail delimit the FIFO of parked waiters (tail is stale while
+	// head is nil); n is its length, read racily by Waiters.
+	head, tail *waiter
+	n          atomic.Int32
 
-	// procs is runtime.GOMAXPROCS sampled once when the lanes are
-	// installed (refreshable via Refresh): it gates the spin phase and
-	// the chained-scatter decision, so a mid-run GOMAXPROCS change can
-	// no longer flip post behaviour per call.
+	// procs is GOMAXPROCS sampled once (by New, or by the zero value's
+	// first enqueue); it gates the spin phase.
 	procs atomic.Int32
 
-	// rr rotates the lane a post scans first, spreading drain work.
-	rr atomic.Uint32
-
-	// spin is the adaptive spin budget: how many channel polls Wait
-	// attempts before descheduling. Zero (the zero value) means park
-	// immediately; the budget grows only on evidence of fast hand-offs
-	// and decays back when parks run long, so an idle or slow semaphore
-	// never busy-waits. Pinned to zero when procs == 1: with a single P
-	// the Gosched-polled spin can never overlap a poster.
+	// spin is the adaptive spin budget (polls before parking); see
+	// tuneSpin. Zero, the initial value, parks at once.
 	spin atomic.Int32
 
-	st *Stats
-
-	// Optional tracer and the trace lane its events are attributed to
-	// (the owning condvar node id, when used as a per-waiter binary
-	// semaphore). Set via SetTrace; nil-safe when unset.
-	tr     *obs.Tracer
+	st     *Stats
+	tr     *obs.Tracer // events attributed to trLane (the condvar node id)
 	trLane uint64
-
-	// Optional fault injector (internal/fault). Set via SetFault;
-	// nil-safe when unset, one atomic load when disarmed.
-	flt *fault.Injector
+	flt    *fault.Injector
 }
 
 // New returns a semaphore holding n initial permits. n must be >= 0.
-// The lane count defaults to GOMAXPROCS sampled here, once (capped at
-// maxLanes, rounded up to a power of two); override with SetLanes.
 func New(n int64) *Sem {
 	if n < 0 {
 		panic(fmt.Sprintf("sem: negative initial count %d", n))
 	}
 	s := &Sem{}
 	s.count.Store(n)
-	s.installLanes(0)
+	s.procs.Store(int32(runtime.GOMAXPROCS(0)))
 	return s
 }
 
-// NewBinary returns a semaphore suitable for use as the per-thread binary
-// semaphore of the paper's Algorithm 3: it starts at zero, so the first
-// Wait blocks until the matching Post.
+// NewBinary returns the per-thread binary semaphore of the paper's
+// Algorithm 3: it starts at zero, so the first Wait blocks until a Post.
 func NewBinary() *Sem { return New(0) }
 
-// nextPow2 rounds n up to the next power of two (n >= 1).
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
-
-// installLanes builds and installs a lane set of k lanes (k <= 0 means
-// one per GOMAXPROCS) and samples procs if not yet sampled. Used by the
-// constructors, by lazy zero-value initialization, and by SetLanes.
-func (s *Sem) installLanes(k int) *laneSet {
-	p := runtime.GOMAXPROCS(0)
-	s.procs.CompareAndSwap(0, int32(p))
-	if k <= 0 {
-		k = p
-	}
-	if k > maxLanes {
-		k = maxLanes
-	}
-	k = nextPow2(k)
-	ls := &laneSet{mask: uint32(k - 1), lanes: make([]lane, k)}
-	if s.ls.CompareAndSwap(nil, ls) {
-		return ls
-	}
-	return s.ls.Load()
-}
-
-// lanes returns the current lane set, installing the default one on
-// first use (the zero-value path).
-func (s *Sem) lanes() *laneSet {
-	if ls := s.ls.Load(); ls != nil {
-		return ls
-	}
-	return s.installLanes(0)
-}
-
-// SetLanes overrides the lane count (rounded up to a power of two,
-// capped at maxLanes; k <= 0 restores the GOMAXPROCS default). Like
-// SetStats it is not synchronized with concurrent operations: call it
-// before sharing the semaphore — waiters parked on the old lanes would
-// be stranded.
-func (s *Sem) SetLanes(k int) {
-	s.ls.Store(nil)
-	s.installLanes(k)
-}
-
-// Lanes reports the current lane count.
-func (s *Sem) Lanes() int { return len(s.lanes().lanes) }
-
-// Refresh re-samples runtime.GOMAXPROCS for the spin-phase and
-// chained-scatter decisions. The lane layout itself is fixed once
-// installed (waiters may be parked on it); use SetLanes before sharing
-// to change it.
-func (s *Sem) Refresh() { s.procs.Store(int32(runtime.GOMAXPROCS(0))) }
-
-// SetStats attaches a stats sink; pass nil to detach. Not synchronized
-// with concurrent operations; call before sharing the semaphore.
+// SetStats attaches a stats sink (nil detaches). Like SetTrace and
+// SetFault it is unsynchronized: call it before sharing the semaphore.
 func (s *Sem) SetStats(st *Stats) { s.st = st }
 
 // SetTrace attaches an event tracer and the trace lane (e.g. the owning
-// condvar node id) park/unpark events are attributed to. Like SetStats
-// it is not synchronized with concurrent operations; call before
-// sharing.
+// condvar node id) park/unpark events are attributed to.
 func (s *Sem) SetTrace(tr *obs.Tracer, lane uint64) { s.tr, s.trLane = tr, lane }
 
-// SetFault attaches a fault injector; pass nil to detach. Like SetStats
-// it is not synchronized with concurrent operations; call before
-// sharing.
+// SetFault attaches a fault injector; nil detaches.
 func (s *Sem) SetFault(in *fault.Injector) { s.flt = in }
 
 // faultAt draws and applies the injector's decision for hook point p.
-// Only delays are meaningful at semaphore points — there is no
-// transaction attempt to abort here — so abort-shaped decisions
-// degrade to instant no-ops (still traced as injected).
+// Only delays are meaningful here — there is no transaction attempt to
+// abort — so abort-shaped decisions degrade to traced no-ops.
 func (s *Sem) faultAt(p fault.Point) {
 	d := s.flt.At(p)
 	if d.Action == fault.ActNone {
@@ -408,12 +157,9 @@ func (s *Sem) faultAt(p fault.Point) {
 	d.Pause()
 }
 
-// parkStart stamps the beginning of a descheduled Wait, emitting the park
-// event if tracing and labeling the goroutine with its condvar lane when
-// introspection asked for it. The timestamp always carries a value now:
-// besides feeding parkEnd's histogram it drives the spin-budget tuner,
-// which needs the hand-off latency even when no stats sink is attached.
-// The label gate is one atomic load when off.
+// parkStart stamps the start of a park, emitting the park event and the
+// introspection label when enabled. The stamp is always taken: the spin
+// tuner needs the hand-off latency even with no stats sink attached.
 func (s *Sem) parkStart() time.Time {
 	if obs.ParkLabelsEnabled() {
 		labelParked(s.trLane)
@@ -425,8 +171,8 @@ func (s *Sem) parkStart() time.Time {
 	return t0
 }
 
-// parkEnd records the park duration started at t0 (histogram + unpark
-// span event) and clears the park label.
+// parkEnd records the park started at t0 (histogram + unpark span
+// event) and clears the park label. A zero t0 records nothing.
 func (s *Sem) parkEnd(t0 time.Time) {
 	if obs.ParkLabelsEnabled() {
 		clearParkLabel()
@@ -434,12 +180,8 @@ func (s *Sem) parkEnd(t0 time.Time) {
 	if t0.IsZero() {
 		return
 	}
-	d := time.Since(t0).Nanoseconds()
-	if d < 0 {
-		// A stepping wall clock (or a hostile t0) must not feed a
-		// negative duration into the histogram sum or the span event.
-		d = 0
-	}
+	// Clamped: a stepping clock must not record a negative duration.
+	d := max(time.Since(t0).Nanoseconds(), 0)
 	if s.st != nil {
 		s.st.ParkNanos.Observe(d)
 	}
@@ -448,334 +190,118 @@ func (s *Sem) parkEnd(t0 time.Time) {
 	}
 }
 
-// handoff unparks a detached waiter, passing it the rest of its detached
-// chain. The send cannot block (capacity 1, one permit per waiter) and
-// the next link is cleared first so the woken goroutine's waiter struct
-// retains nothing once it resumes. Callers must not hold a lane lock
-// merely for ordering — the links were written under it, and the
-// channel send publishes them to the receiver.
-func handoff(w *waiter, flow uint64, hop int32) {
-	nx := w.next
-	w.next = nil
-	w.ch <- wake{next: nx, flow: flow, hop: hop}
-}
-
-// forward continues a chained hand-off: a waiter that consumed a wake
-// signal carrying a successor unparks that successor before doing
-// anything else, so the chain's critical path is one channel round-trip
-// per hop regardless of who started it. Every path that consumes from
-// w.ch (including timeout/cancel losers that keep the permit) must call
-// forward, or the rest of the chain sleeps forever. A flow-tagged
-// signal additionally stamps its hop into the trace here — the consume
-// moment — before the successor (hop+1) is unparked; an untagged signal
-// costs one integer compare.
-func (s *Sem) forward(sig wake) {
-	if sig.flow != 0 && s.tr.Enabled() {
-		s.tr.EmitFlow(s.trLane, obs.EvSemHandoff, sig.flow, int64(sig.hop), 0)
-	}
-	if sig.next != nil {
-		handoff(sig.next, sig.flow, sig.hop+1)
-	}
-}
-
 // tryAcquire consumes one banked permit, reporting success. It loops on
-// the CAS so a waiter rechecking under its lane lock cannot be defeated
-// by counter churn alone — only by the count actually reaching zero.
+// the CAS, so only the count reaching zero can make it fail.
 func (s *Sem) tryAcquire() bool {
-	for {
-		c := s.count.Load()
-		if c <= 0 {
-			return false
-		}
+	for c := s.count.Load(); c > 0; c = s.count.Load() {
 		if s.count.CompareAndSwap(c, c-1) {
 			return true
 		}
 	}
+	return false
 }
 
-// dequeueOne scans the lanes round-robin (work-stealing: the rotating
-// start plus the full sweep means an empty home lane falls through to
-// its neighbours) and pops the first waiter found. The permit count is
-// not touched — the caller hands its in-hand permit over directly.
-func (s *Sem) dequeueOne() *waiter {
-	ls := s.ls.Load()
-	if ls == nil {
-		return nil // no lanes yet: nobody has ever parked
-	}
-	start := s.rr.Add(1)
-	for i := uint32(0); i <= ls.mask; i++ {
-		l := &ls.lanes[(start+i)&ls.mask]
-		if l.n.Load() == 0 {
-			continue
-		}
-		l.mu.lock()
-		w := l.pop()
-		l.mu.unlock()
-		if w != nil {
-			return w
-		}
-	}
-	return nil
-}
-
-// reclaimOne is the post-bank rescan: it looks for a waiter that
-// enqueued between the scan and the bank and, if one is found, reclaims
-// a banked permit for it. A failed reclaim means a concurrent acquire
-// took the permit — the post's obligation is met through that acquirer,
-// so the scan stops.
-func (s *Sem) reclaimOne() *waiter {
-	ls := s.ls.Load()
-	if ls == nil {
+// enqueue appends a pooled waiter to the queue, or returns nil if a
+// permit was banked by the time the lock was taken (it is consumed).
+func (s *Sem) enqueue() *waiter {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.tryAcquire() {
 		return nil
 	}
-	start := s.rr.Add(1)
-	for i := uint32(0); i <= ls.mask; i++ {
-		if s.count.Load() <= 0 {
-			return nil // drained: the permit went to an acquirer
-		}
-		l := &ls.lanes[(start+i)&ls.mask]
-		if l.n.Load() == 0 {
-			continue
-		}
-		l.mu.lock()
-		if l.head != nil && s.tryAcquire() {
-			w := l.pop()
-			l.mu.unlock()
-			return w
-		}
-		l.mu.unlock()
+	if s.procs.Load() == 0 {
+		s.procs.Store(int32(runtime.GOMAXPROCS(0))) // zero-value Sem
 	}
-	return nil
+	w := waiterPool.Get().(*waiter)
+	w.parkedAt = time.Now()
+	if s.head == nil {
+		s.head = w
+	} else {
+		s.tail.next = w
+	}
+	s.tail = w
+	s.n.Add(1)
+	return w
 }
 
-// Post makes one permit available. If a goroutine is blocked in Wait, a
-// parked waiter (the longest-waiting of its lane) receives the permit
-// directly and becomes runnable; otherwise the permit is banked for a
-// future Wait.
-//
-// Post never blocks and is safe to call from commit handlers, which is how
-// the condition variable defers wake-ups to transaction commit.
-func (s *Sem) Post() {
-	// Fault hook: delay the (possibly commit-deferred) SEMPOST, widening
-	// the notify→wake window.
-	s.faultAt(fault.SemPost)
-	w := s.dequeueOne()
-	if w == nil {
-		s.count.Add(1)
-		w = s.reclaimOne()
-	}
-	if w != nil {
-		handoff(w, 0, 0)
-	}
-	if s.st != nil {
-		s.st.Posts.Inc()
-	}
-}
-
-// postFanout is the number of hand-off chains a batched post starts per
-// lane batch when the runtime has parallelism for them to propagate on.
-// It mirrors core.DefaultWakeFanout one layer down.
-const postFanout = 8
-
-// batch is one lane's detached FIFO chain, scattered as a unit.
-type batch struct {
-	head *waiter
-	cnt  int
-}
-
-// scatter unparks a detached FIFO batch of cnt waiters. When the
-// scheduler has parallelism (procs sampled > 1) and the batch is wide,
-// the batch is cut into up to postFanout contiguous chains and only the
-// chain heads are posted here — each woken waiter unparks its successor,
-// so the wake wave spreads across the running CPUs instead of
-// serializing on the poster. Chained hand-off trades poster-side posts
-// for wake-to-wake scheduling hops; with a single P there is no
-// parallelism to win the hops back, so the degenerate case posts every
-// waiter directly. Batched posts call this once per non-empty lane: the
-// chains never cross a lane boundary.
-func (s *Sem) scatter(head *waiter, cnt int, flow uint64) {
-	f := cnt
-	if s.procs.Load() > 1 && cnt > postFanout {
-		f = postFanout
-	}
-	if f >= cnt {
-		for w := head; w != nil; {
-			nx := w.next
+// unlink removes w from the queue, reporting whether it was still there
+// (false: a Post dequeued it and its permit is, or will be, in w.ch).
+func (s *Sem) unlink(w *waiter) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var prev *waiter
+	for p := &s.head; *p != nil; prev, p = *p, &(*p).next {
+		if *p == w {
+			*p = w.next
+			if s.tail == w {
+				s.tail = prev
+			}
 			w.next = nil
-			w.ch <- wake{flow: flow}
-			w = nx
+			s.n.Add(-1)
+			return true
 		}
-		return
 	}
-	seg := (cnt + f - 1) / f
-	for w := head; w != nil; {
-		h := w
-		for i := 1; i < seg && w.next != nil; i++ {
-			w = w.next
-		}
-		nx := w.next
-		w.next = nil
-		w = nx
-		handoff(h, flow, 0)
-	}
+	return false
 }
 
-// PostN posts n permits. Equivalent to n calls of Post but detaches
-// waiters in per-lane FIFO batches (one lane-lock acquisition per
-// non-empty lane) and draws the fault.SemPost hook once per batch:
-// parked waiters are unparked via scatter (chained hand-off when the
-// runtime is parallel enough to profit), and any permits left over are
-// banked.
-func (s *Sem) PostN(n int) { s.postN(n, 0) }
+// Post makes one permit available: the longest-blocked Wait receives it
+// directly, or it is banked for a future Wait. Post never blocks, so it
+// is safe in the commit handlers the condvar defers wake-ups to.
+func (s *Sem) Post() { s.PostN(1) }
 
-// PostNFlow is PostN tagged with a causal-flow id: every waiter woken by
-// this batch — directly or down a hand-off chain — stamps an
-// EvSemHandoff event carrying flow and its chain hop when it consumes
-// the signal, binding the batch's propagation into the wake DAG the
-// trace exporter renders. A zero flow is exactly PostN.
-func (s *Sem) PostNFlow(n int, flow uint64) { s.postN(n, flow) }
-
-func (s *Sem) postN(n int, flow uint64) {
+// PostN posts n permits: the n longest-waiting goroutines are woken in
+// FIFO order and any permits left over are banked, all under one lock
+// acquisition. The fault.SemPost hook is drawn once per call.
+func (s *Sem) PostN(n int) {
 	if n <= 0 {
 		return
 	}
+	// Fault hook: delay the (possibly commit-deferred) SEMPOST, widening
+	// the notify→wake window.
 	s.faultAt(fault.SemPost)
-	var batches []batch
-	remaining := n
-	// Phase 1: direct detach — permits in hand, the count is not touched.
-	if ls := s.ls.Load(); ls != nil {
-		start := s.rr.Add(1)
-		for i := uint32(0); i <= ls.mask && remaining > 0; i++ {
-			l := &ls.lanes[(start+i)&ls.mask]
-			if l.n.Load() == 0 {
-				continue
-			}
-			l.mu.lock()
-			h, c := l.detach(remaining)
-			l.mu.unlock()
-			if c > 0 {
-				batches = append(batches, batch{h, c})
-				remaining -= c
-			}
-		}
+	s.mu.Lock()
+	head, woken := s.head, 0
+	for ; woken < n && s.head != nil; woken++ {
+		s.head = s.head.next
 	}
-	if remaining > 0 {
-		// Phase 2: bank the surplus, then one full rescan to catch
-		// waiters that enqueued after their lane's phase-1 visit (their
-		// recheck may have preceded the bank). See the package comment's
-		// scan → bank → rescan argument.
-		s.count.Add(int64(remaining))
-		if ls := s.ls.Load(); ls != nil {
-			start := s.rr.Add(1)
-		rescan:
-			for i := uint32(0); i <= ls.mask; i++ {
-				if s.count.Load() <= 0 {
-					break
-				}
-				l := &ls.lanes[(start+i)&ls.mask]
-				if l.n.Load() == 0 {
-					continue
-				}
-				var h, t *waiter
-				c := 0
-				l.mu.lock()
-				for l.head != nil {
-					if !s.tryAcquire() {
-						break
-					}
-					w := l.pop()
-					if h == nil {
-						h, t = w, w
-					} else {
-						t.next = w
-						t = w
-					}
-					c++
-				}
-				drained := l.head != nil // stopped on a failed reclaim
-				l.mu.unlock()
-				if c > 0 {
-					batches = append(batches, batch{h, c})
-				}
-				if drained {
-					break rescan
-				}
-			}
-		}
+	if woken > 0 {
+		s.n.Add(int32(-woken))
 	}
-	for _, b := range batches {
-		s.scatter(b.head, b.cnt, flow)
+	if woken < n {
+		s.count.Add(int64(n - woken))
+	}
+	s.mu.Unlock()
+	// The sends cannot block (capacity 1, one permit per waiter). Read
+	// next first: a woken goroutine recycles its waiter.
+	for w := head; woken > 0; woken-- {
+		nx := w.next
+		w.next = nil
+		w.ch <- struct{}{}
+		w = nx
 	}
 	if s.st != nil {
 		s.st.Posts.Add(int64(n))
 	}
 }
 
-// PostAll unparks every currently blocked waiter in a single batched
-// hand-off and reports how many there were. Unlike PostN it banks
-// nothing: a semaphore with no waiters is left untouched. This is the
-// broadcast primitive the condvar's batched NotifyAll rides on. Each
-// non-empty lane contributes one detached FIFO batch (its own hand-off
-// chains), so the wake wave starts in parallel across the lanes.
-func (s *Sem) PostAll() int { return s.postAll(0) }
-
-// PostAllFlow is PostAll tagged with a causal-flow id; see PostNFlow.
-func (s *Sem) PostAllFlow(flow uint64) int { return s.postAll(flow) }
-
-func (s *Sem) postAll(flow uint64) int {
-	s.faultAt(fault.SemPost)
-	ls := s.ls.Load()
-	if ls == nil {
-		return 0
-	}
-	total := 0
-	var batches []batch
-	for i := range ls.lanes {
-		l := &ls.lanes[i]
-		if l.n.Load() == 0 {
-			continue
-		}
-		l.mu.lock()
-		h, c := l.detach(int(^uint(0) >> 1))
-		l.mu.unlock()
-		if c > 0 {
-			batches = append(batches, batch{h, c})
-			total += c
-		}
-	}
-	for _, b := range batches {
-		s.scatter(b.head, b.cnt, flow)
-	}
-	if s.st != nil && total > 0 {
-		s.st.Posts.Add(int64(total))
-	}
-	return total
-}
-
-// spinWait polls w.ch for up to budget iterations, yielding the
-// processor between polls, and reports whether a wake signal arrived
-// during the spin. The yield keeps the spin cooperative: with more
-// goroutines than OS threads the poster still gets scheduled, so this
-// never degenerates into a livelocked busy-wait.
-func spinWait(w *waiter, budget int32) (wake, bool) {
+// spinWait polls w.ch up to budget times, yielding between polls so the
+// poster still gets scheduled, and reports whether a signal arrived.
+func spinWait(w *waiter, budget int32) bool {
 	for i := int32(0); i < budget; i++ {
 		select {
-		case sig := <-w.ch:
-			return sig, true
+		case <-w.ch:
+			return true
 		default:
 		}
 		runtime.Gosched()
 	}
-	return wake{}, false
+	return false
 }
 
-// tuneSpin adapts the spin budget to the hand-off latency a real park
-// just observed: fast hand-offs (poster arrived almost immediately) grow
-// the budget so the next Wait can catch the permit without descheduling;
-// slow ones shrink it toward zero so an idle semaphore parks outright.
-// With a single P the budget pins to zero — the Gosched-polled spin can
-// never overlap a poster there, so even "fast" hand-offs are evidence of
-// scheduling luck, not of a spin that could have won.
+// tuneSpin adapts the spin budget to the latency of a park that just
+// ended: fast hand-offs double it (plus 8, capped at spinLimit), slow
+// ones halve it. With a single P it pins to zero — a fast hand-off there
+// is scheduling luck, not evidence a spin could have won.
 func (s *Sem) tuneSpin(parked time.Duration) {
 	if s.procs.Load() <= 1 {
 		s.spin.Store(0)
@@ -783,289 +309,139 @@ func (s *Sem) tuneSpin(parked time.Duration) {
 	}
 	b := s.spin.Load()
 	if parked >= 0 && parked < spinParkThreshold {
-		b = b*2 + 8
-		if b > spinLimit {
-			b = spinLimit
-		}
+		b = min(b*2+8, spinLimit)
 	} else {
 		b /= 2
 	}
 	s.spin.Store(b)
 }
 
-// prepark enqueues a pooled waiter on the caller's lane and rechecks the
-// banked count under the lane lock. A successful recheck unlinks the
-// waiter again (it is guaranteed still present: posters need this lane's
-// lock to dequeue it) and reports (nil, true) — the permit was acquired
-// without parking. Otherwise the enqueued waiter is returned and the
-// caller must park on its channel.
-func (s *Sem) prepark() (*waiter, bool) {
-	ls := s.lanes()
-	li := laneIndexFn() & ls.mask
-	l := &ls.lanes[li]
-	w := getWaiter()
-	w.lane = li
-	l.mu.lock()
-	l.enqueue(w)
-	// The recheck: a post that banked before our enqueue became visible
-	// must be consumable here, or its rescan must find us (it cannot
-	// rescan this lane before we release the lock).
-	if s.tryAcquire() {
-		l.unlink(w)
-		l.mu.unlock()
-		putWaiter(w)
-		return nil, true
+func (s *Sem) countWait(fast bool) {
+	if s.st != nil {
+		s.st.Waits.Inc()
+		if fast {
+			s.st.FastWaits.Inc()
+		}
 	}
-	l.mu.unlock()
-	return w, false
 }
 
-// Wait acquires one permit, descheduling the caller until one is
-// available. Permits are delivered in FIFO order among blocked waiters
-// of the same lane.
-//
-// Before descheduling, Wait optimistically polls its hand-off channel
-// for a bounded, adaptively tuned number of iterations (spin-then-park):
-// when recent hand-offs have been fast the permit usually lands during
-// the spin and the park/unpark round-trip is skipped entirely. The
-// budget starts at zero, decays on slow hand-offs and is pinned to zero
-// on a single-P runtime, so a semaphore nobody posts to never busy-waits.
-func (s *Sem) Wait() {
-	if s.tryAcquire() {
-		if s.st != nil {
-			s.st.Waits.Inc()
-			s.st.FastWaits.Inc()
-		}
-		return
-	}
-	w, acquired := s.prepark()
-	if acquired {
-		if s.st != nil {
-			s.st.Waits.Inc()
-			s.st.FastWaits.Inc()
-		}
-		return
+// block is the slow path of Wait, WaitTimeout and WaitCtx: enqueue and
+// park until a Post hands over a permit. A positive d or a non-nil done
+// bounds the park; when it fires first the waiter unlinks itself and
+// block reports false, unless a Post already dequeued it: then the
+// notification wins and the permit is taken. Only an unbounded wait
+// spins before parking and feeds the spin tuner.
+func (s *Sem) block(d time.Duration, done <-chan struct{}) bool {
+	w := s.enqueue()
+	if w == nil {
+		s.countWait(true)
+		return true
 	}
 	// Fault hook: stall between publishing ourselves as a waiter and
 	// descheduling — a Post landing in this window must be memorized in
-	// the handoff channel, never lost.
+	// the hand-off channel, never lost.
 	s.faultAt(fault.SemPark)
-	// The spin phase only makes sense with another P to run the poster;
-	// on a single P it would burn the rest of this goroutine's slice.
-	if budget := s.spin.Load(); budget > 0 && s.procs.Load() > 1 {
-		if sig, ok := spinWait(w, budget); ok {
-			s.forward(sig)
-			putWaiter(w)
-			if s.st != nil {
-				s.st.SpinWaits.Inc()
-				s.st.Waits.Inc()
-			}
-			return
+	unbounded := d <= 0 && done == nil
+	if b := s.spin.Load(); unbounded && b > 0 && s.procs.Load() > 1 && spinWait(w, b) {
+		putWaiter(w)
+		if s.st != nil {
+			s.st.SpinWaits.Inc()
 		}
+		s.countWait(false)
+		return true
 	}
 	if s.st != nil {
 		s.st.Blocks.Inc()
 	}
 	t0 := s.parkStart()
-	sig := <-w.ch
-	s.forward(sig)
+	var expire <-chan time.Time
+	if d > 0 {
+		t := time.NewTimer(d)
+		defer t.Stop()
+		expire = t.C
+	}
+	aborted := false
+	select {
+	case <-w.ch:
+	case <-expire:
+		aborted = true
+	case <-done:
+		aborted = true
+	}
+	if aborted {
+		if s.unlink(w) {
+			putWaiter(w)
+			s.parkEnd(t0)
+			return false
+		}
+		<-w.ch // dequeued by a Post: its permit is on the way
+	}
 	putWaiter(w)
 	s.parkEnd(t0)
-	s.tuneSpin(time.Since(t0))
-	if s.st != nil {
-		s.st.Waits.Inc()
+	if unbounded {
+		s.tuneSpin(time.Since(t0))
+	}
+	s.countWait(false)
+	return true
+}
+
+// Wait acquires one permit, descheduling the caller until one is
+// available. Permits are delivered in FIFO order among blocked waiters.
+//
+// Before descheduling, Wait polls its hand-off channel for an adaptively
+// tuned number of iterations (spin-then-park), skipping the park when
+// recent hand-offs were fast. The budget starts at zero and stays zero
+// on a single-P runtime, so an idle semaphore never busy-waits.
+func (s *Sem) Wait() {
+	if !s.TryWait() {
+		s.block(0, nil)
 	}
 }
 
-// TryWait acquires a permit only if one is immediately available
-// (banked — permits in flight to a parked waiter are never visible
-// here). It reports whether a permit was acquired.
+// TryWait acquires a banked permit if one is available (permits handed
+// to a parked waiter are never visible here), reporting success.
 func (s *Sem) TryWait() bool {
 	if s.tryAcquire() {
-		if s.st != nil {
-			s.st.Waits.Inc()
-			s.st.FastWaits.Inc()
-		}
+		s.countWait(true)
 		return true
 	}
 	return false
 }
 
 // WaitTimeout acquires a permit, giving up after d. It reports whether a
-// permit was acquired. A timed-out waiter is unlinked from its lane; if a
-// Post races with the timeout and hands the permit over anyway, the permit
-// is kept and WaitTimeout returns true (no permit is ever lost). Losers
-// never touched the banked count, so no counter repair is needed — the
-// lane-local cancel discipline the striped layout depends on.
+// permit was acquired. A timed-out waiter is unlinked from the queue; if
+// a Post races with the timeout and hands the permit over anyway, the
+// permit is kept and WaitTimeout returns true (no permit is ever lost).
 //
 // A non-positive d acts exactly as TryWait — the caller is never parked
 // — except that a failed acquire still counts as a timeout in Stats.
 func (s *Sem) WaitTimeout(d time.Duration) bool {
-	if d <= 0 {
-		if s.TryWait() {
-			return true
-		}
-		if s.st != nil {
-			s.st.Timeouts.Inc()
-		}
-		return false
-	}
-	if s.tryAcquire() {
-		if s.st != nil {
-			s.st.Waits.Inc()
-			s.st.FastWaits.Inc()
-		}
-		return true
-	}
-	w, acquired := s.prepark()
-	if acquired {
-		if s.st != nil {
-			s.st.Waits.Inc()
-			s.st.FastWaits.Inc()
-		}
+	if s.TryWait() || (d > 0 && s.block(d, nil)) {
 		return true
 	}
 	if s.st != nil {
-		s.st.Blocks.Inc()
+		s.st.Timeouts.Inc()
 	}
-	s.faultAt(fault.SemPark)
-	t0 := s.parkStart()
-
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case sig := <-w.ch:
-		s.forward(sig)
-		putWaiter(w)
-		s.parkEnd(t0)
-		if s.st != nil {
-			s.st.Waits.Inc()
-		}
-		return true
-	case <-t.C:
-	}
-
-	// Timed out: remove ourselves from our lane. A concurrent Post may
-	// have already dequeued us and committed a permit to w.ch; check
-	// under the lane lock.
-	l := &s.lanes().lanes[w.lane]
-	l.mu.lock()
-	if l.unlink(w) {
-		l.mu.unlock()
-		putWaiter(w)
-		s.parkEnd(t0)
-		if s.st != nil {
-			s.st.Timeouts.Inc()
-		}
-		return false
-	}
-	l.mu.unlock()
-	// We were already dequeued by a Post: the permit is (or will be) in
-	// the channel. Take it — and keep any hand-off chain moving.
-	s.forward(<-w.ch)
-	putWaiter(w)
-	s.parkEnd(t0)
-	if s.st != nil {
-		s.st.Waits.Inc()
-	}
-	return true
+	return false
 }
 
 // WaitCtx acquires a permit, giving up when ctx is cancelled. It reports
-// whether a permit was acquired. The race discipline matches
-// WaitTimeout's: the notification wins — if a Post dequeues the waiter
-// before the cancellation takes effect, the permit is consumed and
-// WaitCtx returns true, so no permit is ever lost to a cancelled
-// waiter. An already-cancelled ctx still acquires an immediately
-// available permit (TryWait semantics) but never parks.
+// whether a permit was acquired. As in WaitTimeout the notification
+// wins: a waiter a Post dequeued before the cancellation took effect
+// consumes the permit and returns true. An already-cancelled ctx still
+// acquires an immediately available permit but never parks.
 func (s *Sem) WaitCtx(ctx context.Context) bool {
-	if s.tryAcquire() {
-		if s.st != nil {
-			s.st.Waits.Inc()
-			s.st.FastWaits.Inc()
-		}
-		return true
-	}
-	if ctx.Err() != nil {
-		if s.st != nil {
-			s.st.Cancels.Inc()
-		}
-		return false
-	}
-	w, acquired := s.prepark()
-	if acquired {
-		if s.st != nil {
-			s.st.Waits.Inc()
-			s.st.FastWaits.Inc()
-		}
+	if s.TryWait() || (ctx.Err() == nil && s.block(0, ctx.Done())) {
 		return true
 	}
 	if s.st != nil {
-		s.st.Blocks.Inc()
+		s.st.Cancels.Inc()
 	}
-	s.faultAt(fault.SemPark)
-	t0 := s.parkStart()
-
-	select {
-	case sig := <-w.ch:
-		s.forward(sig)
-		putWaiter(w)
-		s.parkEnd(t0)
-		if s.st != nil {
-			s.st.Waits.Inc()
-		}
-		return true
-	case <-ctx.Done():
-	}
-
-	// Cancelled: remove ourselves from our lane. A concurrent Post may
-	// have already dequeued us and committed a permit to w.ch; check
-	// under the lane lock.
-	l := &s.lanes().lanes[w.lane]
-	l.mu.lock()
-	if l.unlink(w) {
-		l.mu.unlock()
-		putWaiter(w)
-		s.parkEnd(t0)
-		if s.st != nil {
-			s.st.Cancels.Inc()
-		}
-		return false
-	}
-	l.mu.unlock()
-	// We lost the race to a Post: the permit is (or will be) in the
-	// channel. Take it — the notification wins over the cancellation —
-	// and keep any hand-off chain moving.
-	s.forward(<-w.ch)
-	putWaiter(w)
-	s.parkEnd(t0)
-	if s.st != nil {
-		s.st.Waits.Inc()
-	}
-	return true
+	return false
 }
 
-// Value returns the current banked permit count. Negative values are
-// never returned; the number of blocked waiters is reported by Waiters.
+// Value returns the current banked permit count (never negative).
 func (s *Sem) Value() int64 { return s.count.Load() }
 
-// Waiters returns the number of goroutines currently blocked in Wait
-// (a racy snapshot summed across the lanes).
-func (s *Sem) Waiters() int {
-	ls := s.ls.Load()
-	if ls == nil {
-		return 0
-	}
-	n := 0
-	for i := range ls.lanes {
-		n += int(ls.lanes[i].n.Load())
-	}
-	return n
-}
-
-// sortAgesDescending orders park ages longest-first, the presentation
-// order WaiterAges promises (per-lane FIFO gives each lane a sorted run;
-// the merge across lanes needs the sort).
-func sortAgesDescending(ages []time.Duration) {
-	sort.Slice(ages, func(i, j int) bool { return ages[i] > ages[j] })
-}
+// Waiters returns the number of goroutines blocked in Wait (racy).
+func (s *Sem) Waiters() int { return int(s.n.Load()) }

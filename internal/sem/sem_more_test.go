@@ -104,3 +104,39 @@ func TestHandOffNoBarging(t *testing.T) {
 		<-got
 	}
 }
+
+// Permits are conserved under a post/wait churn that races every Post's
+// bank-or-hand-off decision against concurrent enqueues. A lost wake-up
+// shows up as a hang (untimed Wait), so the whole churn runs under a
+// watchdog.
+func TestLaneConservationChurn(t *testing.T) {
+	s := NewBinary()
+
+	const workers = 8
+	const iters = 500
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				s.Post()
+				s.Wait()
+			}
+		}()
+	}
+	finished := make(chan struct{})
+	go func() { wg.Wait(); close(finished) }()
+	select {
+	case <-finished:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("churn hung: %d waiters parked, %d banked — lost wake-up",
+			s.Waiters(), s.Value())
+	}
+	if got := s.Value(); got != 0 {
+		t.Fatalf("Value = %d after balanced churn, want 0", got)
+	}
+	if got := s.Waiters(); got != 0 {
+		t.Fatalf("Waiters = %d after balanced churn, want 0", got)
+	}
+}

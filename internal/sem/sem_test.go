@@ -1,6 +1,7 @@
 package sem
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -147,7 +148,6 @@ func TestWaitTimeoutRaceKeepsPermit(t *testing.T) {
 
 func TestFIFOHandOff(t *testing.T) {
 	s := NewBinary()
-	s.SetLanes(1) // global FIFO is a single-lane property
 	const n = 8
 	order := make(chan int, n)
 	ready := make(chan struct{}, n)
@@ -171,6 +171,35 @@ func TestFIFOHandOff(t *testing.T) {
 		s.Post()
 		if got := <-order; got != i {
 			t.Fatalf("wake order: got %d at position %d", got, i)
+		}
+	}
+}
+
+// FIFO is global, not per processor: waiters that park from goroutines
+// spread over four Ps are woken in exactly their park order. The spawner
+// spins without yielding while each waiter parks, so idle Ps steal the
+// new goroutines and the waiters park from different Ps.
+func TestGlobalFIFOAcrossPs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	s := NewBinary()
+	const n = 16
+	order := make(chan int, n)
+	for i := 0; i < n; i++ {
+		go func() {
+			s.Wait()
+			order <- i
+		}()
+		deadline := time.Now().Add(5 * time.Second)
+		for s.Waiters() != i+1 {
+			if time.Now().After(deadline) {
+				t.Fatalf("waiter %d never parked (Waiters=%d)", i, s.Waiters())
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		s.Post()
+		if got := <-order; got != i {
+			t.Fatalf("wake order: waiter %d woke at position %d", got, i)
 		}
 	}
 }

@@ -237,14 +237,23 @@ func TestCheckCatchesCorruption(t *testing.T) {
 	}
 }
 
-// Pure semaphore-level flows (sem.handoff) must not pollute the condvar
-// DAG set.
+// Dumps written while the semaphore still stamped its own hand-off hops
+// carry sem.handoff records (flight shape) and semhop args (Chrome
+// shape). They must still load, and a flow made only of such records
+// must not build a condvar DAG.
 func TestSemOnlyFlowsSkipped(t *testing.T) {
-	dags := waketrace.Build([]waketrace.Event{
-		{TS: 0, Kind: waketrace.KindSemHop, Lane: 3, Flow: 11, A: 0},
-		{TS: 1, Kind: waketrace.KindSemHop, Lane: 4, Flow: 11, A: 1},
-	})
-	if len(dags) != 0 {
-		t.Fatalf("sem-only flow produced %d condvar DAGs", len(dags))
+	for _, dump := range []string{
+		`{"trace_events":[{"ts_ns":0,"type":"sem.handoff","lane":3,"flow":11},` +
+			`{"ts_ns":1,"type":"sem.handoff","lane":4,"flow":11,"a":1}]}`,
+		`{"traceEvents":[{"name":"sem.handoff","ph":"t","ts":0,"tid":3,"id":11,"args":{"kind":"semhop","hop":0}},` +
+			`{"name":"sem.handoff","ph":"t","ts":1,"tid":4,"id":11,"args":{"kind":"semhop","hop":1}}]}`,
+	} {
+		evs, err := waketrace.Parse([]byte(dump))
+		if err != nil {
+			t.Fatalf("old dump rejected: %v", err)
+		}
+		if dags := waketrace.Build(evs); len(dags) != 0 {
+			t.Fatalf("sem-only flow produced %d condvar DAGs", len(dags))
+		}
 	}
 }

@@ -32,13 +32,14 @@ step "tests (race detector)"
 go test -race ./...
 
 step "tests (multicore: GOMAXPROCS=4 race re-run of the wake/commit fabric)"
-# The striped sem lanes, the epoch-batched commit clock and the condvar
-# wake path all branch on GOMAXPROCS (lane count, scatter, spin budget),
-# so a single-core host silently skips their multicore schedules. Re-run
-# the three fabric packages with four Ps forced — the race detector sees
-# the cross-lane and cross-shard interleavings even when the host has
-# one CPU.
-GOMAXPROCS=4 go test -race ./internal/sem ./internal/core ./internal/stm
+# The semaphore's spin phase, the epoch-batched commit clock and the
+# condvar's chained wake all branch on GOMAXPROCS, so a single-core host
+# silently skips their multicore schedules. Re-run the three packages
+# with four Ps forced — the race detector sees the cross-P interleavings
+# even when the host has one CPU. GOMAXPROCS is not part of the test
+# cache key, so -count=1 is what makes this step actually run rather
+# than replay the results of the step above.
+GOMAXPROCS=4 go test -race -count=1 ./internal/sem ./internal/core ./internal/stm
 
 step "tests (runtime sanitizer on: -tags stmsan)"
 go test -tags stmsan ./internal/stm ./internal/core
@@ -66,7 +67,7 @@ go test -run 'TestWakeChainDisarmedNoAlloc' ./internal/core
 # waiter node and channel — 0 allocs/op once the pool is warm. Must run
 # race-free: race shadow state adds a deterministic allocation per park
 # (the test skips itself under -race, so this line is the real gate).
-go test -run 'TestWaitPooledNoAlloc' ./internal/sem
+go test -count=1 -run 'TestWaitPooledNoAlloc' ./internal/sem
 go test -run '^$' -bench BenchmarkTraceDisabled -benchmem ./internal/obs | tee /tmp/obs_bench.$$ >/dev/null
 grep -q ' 0 allocs/op' /tmp/obs_bench.$$ || {
 	echo "BenchmarkTraceDisabled allocates:"; cat /tmp/obs_bench.$$; rm -f /tmp/obs_bench.$$; exit 1;
