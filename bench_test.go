@@ -14,6 +14,7 @@ package repro
 // the RATIOS between systems at equal thread counts (see EXPERIMENTS.md).
 
 import (
+	"math"
 	"runtime"
 	"strconv"
 	"strings"
@@ -472,8 +473,9 @@ func BenchmarkAblationRetryVsCondVar(b *testing.B) {
 // generation predicate, then broadcasts once per iteration. The
 // paper-relevant number is broadcast-ns — the BroadcastNanos histogram's
 // commit-to-last-waiter-resumed latency — compared between the chained
-// hand-off wake path (default) and the -serialwake ablation, which posts
-// every semaphore from the notifier's commit handler.
+// hand-off wake path (default) and the serial ablation (fanout
+// math.MaxInt), which posts every semaphore from the notifier's commit
+// handler.
 func benchBroadcastWake(b *testing.B, waiters int, opts core.Options) {
 	e := stm.NewEngine(stm.Config{})
 	cv := core.New(e, opts)
@@ -555,7 +557,7 @@ func BenchmarkBroadcastWake(b *testing.B) {
 			name string
 			opts core.Options
 		}{
-			{"serial", core.Options{SerialWake: true}},
+			{"serial", core.Options{WakeFanout: math.MaxInt}},
 			{"auto", core.Options{}},
 			{"chained-f8", core.Options{WakeFanout: 8}},
 			{"chained-f16", core.Options{WakeFanout: 16}},

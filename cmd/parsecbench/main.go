@@ -22,8 +22,8 @@
 //	-tracebuf N                 trace ring-buffer capacity in events
 //	-resultdir dir              per-run JSON results directory ("" disables)
 //	-introspect addr            serve /debug/cv/* live endpoints while running
-//	-wakefanout N               NotifyAll chained-wake fan-out (0 = default)
-//	-serialwake                 ablation: serial broadcast wake loop
+//	-wakefanout N               NotifyAll chained-wake fan-out (0 = default;
+//	                            ≥ the batch size posts every waiter serially)
 //	-profile                    enable STM contention attribution
 //	-sweep "1,2,4"              trajectory mode: run the matrix once per
 //	                            GOMAXPROCS value, write a BENCH_*.json doc
@@ -75,8 +75,7 @@ func main() {
 	resultDir := flag.String("resultdir", "results", "directory for per-run JSON result files (\"\" disables)")
 	introspectAddr := flag.String("introspect", "", "serve /debug/cv/* live-introspection endpoints on this address (e.g. 127.0.0.1:6070)")
 	quiet := flag.Bool("quiet", false, "suppress live progress")
-	wakeFanout := flag.Int("wakefanout", 0, "NotifyAll wake fan-out (chains started by the notifier; 0 = default pacing)")
-	serialWake := flag.Bool("serialwake", false, "ablation: disable the chained wake batch and post every broadcast waiter serially from the commit handler")
+	wakeFanout := flag.Int("wakefanout", 0, "NotifyAll wake fan-out (chains started by the notifier; 0 = default pacing; at or above the batch size the notifier posts every waiter itself)")
 	profile := flag.Bool("profile", false, "enable STM contention attribution (per-Var conflict counters; auto-on with -introspect)")
 	sweepList := flag.String("sweep", "", "trajectory mode: comma-separated GOMAXPROCS list (e.g. \"1,2,4\"); writes a BENCH_*.json document and exits")
 	benchOut := flag.String("benchout", "", "trajectory output path (default BENCH_<host>_<date>.json in the current directory)")
@@ -134,7 +133,7 @@ func main() {
 		// The per-run result files carry the full per-trial snapshots, so
 		// collection is on whenever either JSON output is wanted.
 		CollectMetrics: *metrics || *resultDir != "",
-		CVOpts:         core.Options{WakeFanout: *wakeFanout, SerialWake: *serialWake},
+		CVOpts:         core.Options{WakeFanout: *wakeFanout},
 	}
 	if !*quiet {
 		cfg.Progress = os.Stderr

@@ -34,7 +34,6 @@ func runSweep(base harness.SweepConfig, procsList, outPath string, progress io.W
 	meta.Trials = base.Trials
 	meta.Warmup = base.Warmup
 	meta.WakeFanout = base.CVOpts.WakeFanout
-	meta.SerialWake = base.CVOpts.SerialWake
 
 	doc := &bench.Doc{Schema: bench.Schema, Meta: meta}
 	for _, p := range procs {

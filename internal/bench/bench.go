@@ -77,7 +77,6 @@ type RunMeta struct {
 	Trials     int     `json:"trials,omitempty"`
 	Warmup     int     `json:"warmup,omitempty"`
 	WakeFanout int     `json:"wake_fanout,omitempty"`
-	SerialWake bool    `json:"serial_wake,omitempty"`
 }
 
 // Collect gathers the environment half of RunMeta: toolchain and host

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -45,6 +46,37 @@ func TestValidateAcceptsAndRoundTrips(t *testing.T) {
 	}
 	if len(back.Points) != 2 || back.Meta.Host != "testhost" || back.Schema != Schema {
 		t.Fatalf("round-trip lost data: %+v", back)
+	}
+}
+
+// Documents written before a meta field was retired still load: v1
+// files may carry serial_wake and sem_lanes, which RunMeta no longer
+// has.
+func TestLoadIgnoresRetiredMetaFields(t *testing.T) {
+	d := validDoc()
+	path := filepath.Join(t.TempDir(), "BENCH_old.json")
+	if err := d.Write(path); err != nil {
+		t.Fatalf("Write: %v", err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := strings.Replace(string(data), `"meta": {`, `"meta": {
+    "serial_wake": true,
+    "sem_lanes": 4,`, 1)
+	if old == string(data) {
+		t.Fatal("meta object not found in written document")
+	}
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	back, err := Load(path)
+	if err != nil {
+		t.Fatalf("Load of a document with retired fields: %v", err)
+	}
+	if back.Meta.Host != "testhost" || len(back.Points) != 2 {
+		t.Fatalf("retired fields disturbed the decode: %+v", back.Meta)
 	}
 }
 

@@ -57,13 +57,11 @@ type Options struct {
 	// unparks itself; the rest are unparked in chains, each woken waiter
 	// unparking its successor. Zero means auto: DefaultWakeFanout, or a
 	// direct post of the whole batch when GOMAXPROCS is 1 (chains cost
-	// scheduling hops that only parallelism wins back). Ignored when
-	// SerialWake is set.
+	// scheduling hops that only parallelism wins back). A fanout at or
+	// above the batch size (math.MaxInt for every batch) links no chains:
+	// the notifier posts every waiter itself, the serial wake loop the
+	// broadcast ablation benchmark measures.
 	WakeFanout int
-	// SerialWake restores the pre-batching behavior: the committing
-	// notifier unparks every dequeued waiter itself, one semaphore post
-	// at a time. For the broadcast ablation benchmark.
-	SerialWake bool
 }
 
 // CVStats aggregates condition-variable activity.
@@ -825,16 +823,6 @@ func (cv *CondVar) wakeCommitted(nodes []*Node, gens []uint64) {
 	if tr := cv.e.Tracer(); tr.Enabled() {
 		tr.EmitFlow(cv.id, obs.EvWakeRoot, wakeID, int64(total), int64(cv.id))
 	}
-	if cv.opts.SerialWake {
-		// Ablation: the legacy serial wake loop, one post per waiter on
-		// the notifier's goroutine (still measured by the batch clock).
-		// Every wake is notifier-posted, so every hop index is 0.
-		for i, n := range nodes {
-			n.batch.Store(wb)
-			cv.wakeNode(n, d-int64(i), wakeCtx{id: wakeID})
-		}
-		return
-	}
 	fan := cv.opts.WakeFanout
 	if fan <= 0 {
 		fan = DefaultWakeFanout
@@ -1060,8 +1048,8 @@ func (cv *CondVar) notifyBatch(tx *stm.Tx, max int) int {
 // The wake-ups are batched: one commit handler dequeues the whole set
 // and unparks it via chained hand-off (see wakeCommitted), so the
 // committing transaction is no longer a serial wake loop over N
-// semaphore posts. Options.WakeFanout paces the chains;
-// Options.SerialWake restores the legacy loop.
+// semaphore posts. Options.WakeFanout paces the chains; a fanout at or
+// above the batch size restores the serial loop.
 func (cv *CondVar) NotifyAll(tx *stm.Tx) int {
 	count := cv.notifyBatch(tx, -1)
 	if cv.st != nil {

@@ -260,24 +260,37 @@ func TestLostWakeupWindowSurvived(t *testing.T) {
 // must never lose the wake-up either, even when the waiter's timeout
 // expires inside the widened window — the timeout loses the race and
 // the wait reports notified.
+//
+// The notifier learns the waiter is queued from an event, not a poll:
+// WaitLockedTimeout releases m only after its enqueue commits, so
+// acquiring m orders the notify after the enqueue. The deadline and the
+// injected delay are scaled together (delay = 2 × deadline) so a loaded
+// host still dequeues well inside the deadline and posts past it.
 func TestNotifyWindowDelay(t *testing.T) {
+	const deadline = 50 * time.Millisecond
 	e := stm.NewEngine(stm.Config{})
 	in := fault.New(0xBEEF).Set(fault.CVNotify,
-		fault.Rule{Rate: 1.0, Action: fault.ActDelay, Delay: 4 * time.Millisecond})
+		fault.Rule{Rate: 1.0, Action: fault.ActDelay, Delay: 2 * deadline})
 	e.SetFault(in)
 	cv := New(e, Options{})
+	st := &CVStats{}
+	cv.SetStats(st)
 	in.Arm()
 	defer in.Disarm()
 
 	var m syncx.Mutex
+	locked := make(chan struct{})
 	res := make(chan bool, 1)
 	go func() {
 		m.Lock()
-		ok := cv.WaitLockedTimeout(&m, 2*time.Millisecond)
+		close(locked)
+		ok := cv.WaitLockedTimeout(&m, deadline)
 		m.Unlock()
 		res <- ok
 	}()
-	waitUntil(t, "enqueue", func() bool { return cv.Depth() == 1 })
+	<-locked
+	m.Lock() // granted once the waiter's enqueue has committed
+	m.Unlock()
 	// The dequeue commits now; the injected stall holds the post back
 	// past the waiter's deadline.
 	if !cv.NotifyOne(nil) {
@@ -290,5 +303,11 @@ func TestNotifyWindowDelay(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("waiter stuck")
+	}
+	if got := st.WakeConsumedTimeout.Load(); got != 1 {
+		t.Fatalf("timed-out waiter consumed %d delayed posts, want 1", got)
+	}
+	if got := st.Timeouts.Load(); got != 0 {
+		t.Fatalf("Timeouts = %d, want 0", got)
 	}
 }

@@ -1,6 +1,7 @@
 package facility
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -37,10 +38,10 @@ func TestTaskQueueSubmitBatch(t *testing.T) {
 // ablation.
 func TestBarrierWideBroadcast(t *testing.T) {
 	fanouts := []core.Options{
-		{},                 // default fan-out
-		{WakeFanout: 1},    // pure chain
-		{WakeFanout: 4},    // paced
-		{SerialWake: true}, // legacy serial loop
+		{},                        // default fan-out
+		{WakeFanout: 1},           // pure chain
+		{WakeFanout: 4},           // paced
+		{WakeFanout: math.MaxInt}, // serial loop: no chains
 	}
 	for _, opts := range fanouts {
 		opts := opts

@@ -52,7 +52,7 @@ type SweepConfig struct {
 	// but collection also allocates per trial, so it is opt-in.
 	CollectMetrics bool
 	// CVOpts configures every TM condvar the sweep's runs create (wake
-	// fan-out pacing, the serial-wake ablation, notify policy).
+	// fan-out pacing, notify policy).
 	CVOpts core.Options
 	// Tracer, when non-nil, records the event lifecycle of every trial
 	// (warm-ups included) into one shared ring buffer.

@@ -79,7 +79,7 @@ type Config struct {
 	// histograms across all the run's TM condvars.
 	CVStats *core.CVStats
 	// CVOpts configures every TM condvar the run creates (wake fan-out,
-	// serial-wake ablation, policy; no-op on the pthread system).
+	// policy; no-op on the pthread system).
 	CVOpts core.Options
 	// Fault, when non-nil, is attached to the run's engine so chaos
 	// sweeps can inject deterministic faults into the benchmark's

@@ -599,6 +599,84 @@ func TestSnapshotExtension(t *testing.T) {
 	}
 }
 
+// TestNowCountsCommits pins the single global version clock: every
+// write commit draws exactly one stamp, so after n commits on a fresh
+// engine Now() is n and the last written orec carries that stamp.
+func TestNowCountsCommits(t *testing.T) {
+	for _, a := range []Algorithm{AlgWriteBack, AlgWriteThrough} {
+		t.Run(a.String(), func(t *testing.T) {
+			e := newTestEngine(a)
+			v := NewVar(e, 0)
+			const n = 100
+			for i := 0; i < n; i++ {
+				e.MustAtomic(func(tx *Tx) { Write(tx, v, Read(tx, v)+1) })
+			}
+			if got := e.Now(); got != n {
+				t.Fatalf("Now() = %d after %d commits, want %d", got, n, n)
+			}
+			w := v.base.o.load()
+			if isLocked(w) {
+				t.Fatal("orec still locked after commit")
+			}
+			if got := versionOf(w); got != e.Now() {
+				t.Fatalf("last orec version = %d, want Now() = %d", got, e.Now())
+			}
+		})
+	}
+}
+
+// TestSerialOptimisticInterleave mixes serial commits (each a raw clock
+// bump) with optimistic ones on two Vars kept equal: every update must
+// survive and no transaction body may see a torn snapshot.
+func TestSerialOptimisticInterleave(t *testing.T) {
+	for _, alg := range []Algorithm{AlgWriteThrough, AlgWriteBack} {
+		e := NewEngine(Config{Algorithm: alg, Name: "interleave-" + alg.String()})
+		a := NewVar(e, 0)
+		b := NewVar(e, 0)
+		const workers, per = 6, 300
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < per; i++ {
+					add := func(tx *Tx) {
+						// The invariant a == b holds transactionally;
+						// a torn snapshot shows up as a skewed pair.
+						av, bv := Read(tx, a), Read(tx, b)
+						if av != bv {
+							t.Errorf("torn snapshot: a=%d b=%d", av, bv)
+						}
+						Write(tx, a, av+1)
+						Write(tx, b, bv+1)
+					}
+					if i%13 == 0 {
+						// Irrevocable: commits serially, bumps the clock.
+						if err := e.AtomicRelaxed(add); err != nil {
+							t.Errorf("relaxed: %v", err)
+						}
+					} else if err := e.Atomic(add); err != nil {
+						t.Errorf("atomic: %v", err)
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+		want := workers * per
+		e.MustAtomic(func(tx *Tx) {
+			if av, bv := Read(tx, a), Read(tx, b); av != want || bv != want {
+				t.Errorf("%s: a=%d b=%d after %d increments", alg, av, bv, want)
+			}
+		})
+		if top := e.Now(); top < uint64(want) {
+			t.Errorf("%s: Now() = %d below %d commits", alg, top, want)
+		}
+	}
+}
+
 func TestConcurrentCounter(t *testing.T) {
 	forEachAlg(t, func(t *testing.T, e *Engine) {
 		v := NewVar(e, 0)

@@ -32,11 +32,12 @@ step "tests (race detector)"
 go test -race ./...
 
 step "tests (multicore: GOMAXPROCS=4 race re-run of the wake/commit fabric)"
-# The semaphore's spin phase, the epoch-batched commit clock and the
-# condvar's chained wake all branch on GOMAXPROCS, so a single-core host
-# silently skips their multicore schedules. Re-run the three packages
-# with four Ps forced — the race detector sees the cross-P interleavings
-# even when the host has one CPU. GOMAXPROCS is not part of the test
+# The semaphore's spin phase and the condvar's chained wake branch on
+# GOMAXPROCS, and the STM's commit, snapshot-extension and serial-gate
+# races (the opacity checks in internal/stm) need several Ps running at
+# once, so a single-core host silently skips these multicore schedules.
+# Re-run the three packages with four Ps forced — the race detector sees
+# the cross-P interleavings even when the host has one CPU. GOMAXPROCS is not part of the test
 # cache key, so -count=1 is what makes this step actually run rather
 # than replay the results of the step above.
 GOMAXPROCS=4 go test -race -count=1 ./internal/sem ./internal/core ./internal/stm
