@@ -14,7 +14,6 @@ package repro
 // the RATIOS between systems at equal thread counts (see EXPERIMENTS.md).
 
 import (
-	"math"
 	"runtime"
 	"strconv"
 	"strings"
@@ -467,18 +466,16 @@ func BenchmarkAblationRetryVsCondVar(b *testing.B) {
 	})
 }
 
-// ---- Broadcast wake scalability: chained hand-off vs serial posting ----
+// ---- Broadcast wake: one commit handler posting every waiter ----
 
 // benchBroadcastWake parks `waiters` goroutines on one condvar behind a
-// generation predicate, then broadcasts once per iteration. The
-// paper-relevant number is broadcast-ns — the BroadcastNanos histogram's
-// commit-to-last-waiter-resumed latency — compared between the chained
-// hand-off wake path (default) and the serial ablation (fanout
-// math.MaxInt), which posts every semaphore from the notifier's commit
-// handler.
-func benchBroadcastWake(b *testing.B, waiters int, opts core.Options) {
+// generation predicate, then broadcasts once per iteration. It reports
+// notify-ns, the time the notifier spends inside NotifyAll (the commit
+// handler's serial post loop), and broadcast-ns, the BroadcastNanos
+// histogram's commit-to-last-waiter-resumed latency.
+func benchBroadcastWake(b *testing.B, waiters int) {
 	e := stm.NewEngine(stm.Config{})
-	cv := core.New(e, opts)
+	cv := core.New(e, core.Options{})
 	st := &core.CVStats{}
 	cv.SetStats(st)
 	var m syncx.Mutex
@@ -553,19 +550,9 @@ func benchBroadcastWake(b *testing.B, waiters int, opts core.Options) {
 
 func BenchmarkBroadcastWake(b *testing.B) {
 	for _, waiters := range []int{64, 128} {
-		for _, c := range []struct {
-			name string
-			opts core.Options
-		}{
-			{"serial", core.Options{WakeFanout: math.MaxInt}},
-			{"auto", core.Options{}},
-			{"chained-f8", core.Options{WakeFanout: 8}},
-			{"chained-f16", core.Options{WakeFanout: 16}},
-		} {
-			b.Run("w"+strconv.Itoa(waiters)+"/"+c.name, func(b *testing.B) {
-				benchBroadcastWake(b, waiters, c.opts)
-			})
-		}
+		b.Run("w"+strconv.Itoa(waiters), func(b *testing.B) {
+			benchBroadcastWake(b, waiters)
+		})
 	}
 }
 

@@ -608,7 +608,7 @@ func runChaosKind(kind facility.Kind, goroutines int, seed uint64, rate float64,
 	cv.SetStats(cvStats)
 	cv.RegisterIntrospect(reg, e.Name()+"/probe")
 	// Broadcast probe state: a separate condvar with a wide wait set, woken
-	// by single chained NotifyAll batches while the injector stalls the
+	// by single batched NotifyAll commits while the injector stalls the
 	// post/park/notify hook points underneath.
 	bcv := core.New(e, tk.CVOpts)
 	bcv.SetStats(cvStats)
@@ -679,7 +679,7 @@ func runChaosKind(kind facility.Kind, goroutines int, seed uint64, rate float64,
 		// wait entered under one lock hold, so every waiter either parks
 		// before the flip (and must be in the batch) or observes the new
 		// generation and never sleeps — any waiter still parked after the
-		// broadcast is a lost wake-up in the chained hand-off.
+		// broadcast is a lost wake-up in the batched wake path.
 		if i%16 == 5 {
 			const wide = 48
 			start := bgen

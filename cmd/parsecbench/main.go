@@ -22,8 +22,6 @@
 //	-tracebuf N                 trace ring-buffer capacity in events
 //	-resultdir dir              per-run JSON results directory ("" disables)
 //	-introspect addr            serve /debug/cv/* live endpoints while running
-//	-wakefanout N               NotifyAll chained-wake fan-out (0 = default;
-//	                            ≥ the batch size posts every waiter serially)
 //	-profile                    enable STM contention attribution
 //	-sweep "1,2,4"              trajectory mode: run the matrix once per
 //	                            GOMAXPROCS value, write a BENCH_*.json doc
@@ -48,7 +46,6 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/obs/introspect"
@@ -75,7 +72,6 @@ func main() {
 	resultDir := flag.String("resultdir", "results", "directory for per-run JSON result files (\"\" disables)")
 	introspectAddr := flag.String("introspect", "", "serve /debug/cv/* live-introspection endpoints on this address (e.g. 127.0.0.1:6070)")
 	quiet := flag.Bool("quiet", false, "suppress live progress")
-	wakeFanout := flag.Int("wakefanout", 0, "NotifyAll wake fan-out (chains started by the notifier; 0 = default pacing; at or above the batch size the notifier posts every waiter itself)")
 	profile := flag.Bool("profile", false, "enable STM contention attribution (per-Var conflict counters; auto-on with -introspect)")
 	sweepList := flag.String("sweep", "", "trajectory mode: comma-separated GOMAXPROCS list (e.g. \"1,2,4\"); writes a BENCH_*.json document and exits")
 	benchOut := flag.String("benchout", "", "trajectory output path (default BENCH_<host>_<date>.json in the current directory)")
@@ -133,7 +129,6 @@ func main() {
 		// The per-run result files carry the full per-trial snapshots, so
 		// collection is on whenever either JSON output is wanted.
 		CollectMetrics: *metrics || *resultDir != "",
-		CVOpts:         core.Options{WakeFanout: *wakeFanout},
 	}
 	if !*quiet {
 		cfg.Progress = os.Stderr

@@ -33,7 +33,6 @@ func runSweep(base harness.SweepConfig, procsList, outPath string, progress io.W
 	meta.Seed = base.Seed
 	meta.Trials = base.Trials
 	meta.Warmup = base.Warmup
-	meta.WakeFanout = base.CVOpts.WakeFanout
 
 	doc := &bench.Doc{Schema: bench.Schema, Meta: meta}
 	for _, p := range procs {

@@ -71,12 +71,11 @@ type RunMeta struct {
 
 	// Sweep parameters (zero outside sweep documents: the per-run
 	// -resultdir JSONs reuse RunMeta for its environment half only).
-	Machine    string  `json:"machine,omitempty"`
-	Scale      float64 `json:"scale,omitempty"`
-	Seed       uint64  `json:"seed,omitempty"`
-	Trials     int     `json:"trials,omitempty"`
-	Warmup     int     `json:"warmup,omitempty"`
-	WakeFanout int     `json:"wake_fanout,omitempty"`
+	Machine string  `json:"machine,omitempty"`
+	Scale   float64 `json:"scale,omitempty"`
+	Seed    uint64  `json:"seed,omitempty"`
+	Trials  int     `json:"trials,omitempty"`
+	Warmup  int     `json:"warmup,omitempty"`
 }
 
 // Collect gathers the environment half of RunMeta: toolchain and host

@@ -50,8 +50,8 @@ func TestValidateAcceptsAndRoundTrips(t *testing.T) {
 }
 
 // Documents written before a meta field was retired still load: v1
-// files may carry serial_wake and sem_lanes, which RunMeta no longer
-// has.
+// files may carry serial_wake, sem_lanes and wake_fanout, which RunMeta
+// no longer has.
 func TestLoadIgnoresRetiredMetaFields(t *testing.T) {
 	d := validDoc()
 	path := filepath.Join(t.TempDir(), "BENCH_old.json")
@@ -64,7 +64,8 @@ func TestLoadIgnoresRetiredMetaFields(t *testing.T) {
 	}
 	old := strings.Replace(string(data), `"meta": {`, `"meta": {
     "serial_wake": true,
-    "sem_lanes": 4,`, 1)
+    "sem_lanes": 4,
+    "wake_fanout": 8,`, 1)
 	if old == string(data) {
 		t.Fatal("meta object not found in written document")
 	}

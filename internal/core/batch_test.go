@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"testing"
 	"time"
 
@@ -52,21 +51,18 @@ func collectAll(t *testing.T, done []chan struct{}, what string) {
 	}
 }
 
-// A batched NotifyAll must wake every waiter exactly once — conservation
-// across every fan-out, including the pure chain (fanout 1) and the
-// serial wake loop (fanout math.MaxInt) — and leave the queue and depth
-// gauge empty.
+// A batched NotifyAll must wake every waiter exactly once — the commit
+// handler's serial post loop, under either queue order and with or
+// without pooled nodes — and leave the queue and depth gauge empty.
 func TestNotifyAllBatchedConservation(t *testing.T) {
 	const waiters = 64
 	cases := []struct {
 		name string
 		opts Options
 	}{
-		{"default fanout", Options{}},
-		{"fanout 1 (pure chain)", Options{WakeFanout: 1}},
-		{"fanout 3", Options{WakeFanout: 3}},
-		{"fanout > batch", Options{WakeFanout: waiters * 2}},
-		{"serial wake", Options{WakeFanout: math.MaxInt}},
+		{"serial wake", Options{}},
+		{"LIFO", Options{Policy: LIFO}},
+		{"no node pool", Options{NoNodePool: true}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -119,7 +115,7 @@ func TestNotifyAllBatchedConservation(t *testing.T) {
 // queue order and leaves the rest enqueued.
 func TestNotifyNPartialBatch(t *testing.T) {
 	e := stm.NewEngine(stm.Config{})
-	cv := New(e, Options{WakeFanout: 2})
+	cv := New(e, Options{})
 	st := &CVStats{}
 	cv.SetStats(st)
 

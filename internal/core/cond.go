@@ -33,7 +33,7 @@ func (c *LockCond) Wait(m *syncx.Mutex) { c.cv.WaitLocked(m) }
 func (c *LockCond) Signal() { c.cv.NotifyOne(nil) }
 
 // SignalN wakes up to n waiters as one batch (a single dequeue
-// transaction and one chained hand-off; see CondVar.NotifyN).
+// transaction and one commit handler; see CondVar.NotifyN).
 func (c *LockCond) SignalN(n int) { c.cv.NotifyN(nil, n) }
 
 // Broadcast wakes every waiter.

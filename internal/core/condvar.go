@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,14 +30,6 @@ const (
 	LIFO
 )
 
-// DefaultWakeFanout is the number of hand-off chains a committed
-// broadcast starts when Options.WakeFanout is zero. Fan-out 1 is a pure
-// chain (minimum notifier work, maximum wake-to-wake latency for the
-// tail); fan-out == batch size degenerates to the serial wake loop. 8
-// keeps the notifier's commit handler O(1)-ish while giving the chain
-// log-depth parallelism on typical core counts.
-const DefaultWakeFanout = 8
-
 // Options configures a CondVar.
 type Options struct {
 	// Policy selects the NotifyOne victim discipline. Default FIFO.
@@ -53,15 +44,6 @@ type Options struct {
 	// allows wake-ups from transactions that later abort; it exists only
 	// so the ablation benchmark can measure what the deferral costs.
 	ImmediatePost bool
-	// WakeFanout is the number of waiters a committed NotifyAll/NotifyN
-	// unparks itself; the rest are unparked in chains, each woken waiter
-	// unparking its successor. Zero means auto: DefaultWakeFanout, or a
-	// direct post of the whole batch when GOMAXPROCS is 1 (chains cost
-	// scheduling hops that only parallelism wins back). A fanout at or
-	// above the batch size (math.MaxInt for every batch) links no chains:
-	// the notifier posts every waiter itself, the serial wake loop the
-	// broadcast ablation benchmark measures.
-	WakeFanout int
 }
 
 // CVStats aggregates condition-variable activity.
@@ -85,19 +67,13 @@ type CVStats struct {
 
 	// Broadcast shape: how many waiters each committed NotifyAll/NotifyN
 	// batch dequeued, and how long the whole batch took from the commit
-	// handler starting to the last waiter resuming (the commit-to-last-
-	// wake latency the scalable wake path optimizes).
+	// handler starting to the last waiter resuming (commit-to-last-wake).
 	WakeBatch      obs.Histogram // waiters per committed notify batch
 	BroadcastNanos obs.Histogram // ns: batch commit → last waiter resumed
 
-	// Wake-chain shape (DESIGN.md §15): how deep each consumed wake sat
-	// in its hand-off chain (1 = posted by the notifier itself), the
-	// per-hop hand-off latency for chained hops (post → consuming
-	// waiter's resume, hop index >= 1), and which kind of waiter consumed
-	// each wake — a timeout/cancel loser that kept a raced permit still
-	// drains the chain but shows up under its own consumer label.
-	WakeChainDepth      obs.Histogram // chain position of each consumed wake (hop+1)
-	HandoffHopNanos     obs.Histogram // ns: chained hop post → consume
+	// Which kind of waiter consumed each wake (DESIGN.md §15): a
+	// timeout/cancel loser that kept a raced permit shows up under its
+	// own consumer label.
 	WakeConsumedWaiter  stats.Counter // wakes consumed by live waiters
 	WakeConsumedTimeout stats.Counter // wakes consumed by timed-out losers
 	WakeConsumedCancel  stats.Counter // wakes consumed by cancelled losers
@@ -164,33 +140,18 @@ type Node struct {
 	// enqueueBody); built once per node, reused across pool recycles.
 	enqBody func(*stm.Tx)
 
-	// Chained hand-off state, set by a committed notify batch
-	// (wakeCommitted) and consumed exactly once by the woken owner in
-	// noteWake: wakeNext is the next waiter this one must unpark, batch
-	// tracks the broadcast this wake belongs to for the commit-to-last-
-	// wake histogram. Both are nil outside a batch wake.
-	wakeNext atomic.Pointer[Node]
-	batch    atomic.Pointer[wakeBatch]
+	// batch tracks the committed notify batch this wake belongs to, for
+	// the commit-to-last-wake histogram: set by wakeCommitted, consumed
+	// exactly once by the woken owner in noteWake, nil outside a batch.
+	batch atomic.Pointer[wakeBatch]
 
-	// Causal wake stamp (DESIGN.md §15), stored by the poster in
-	// wakeNode before the semaphore post and consumed (Swap(0)) by the
-	// woken owner in noteWake. The semaphore hand-off orders the stores
-	// before the owner's reads; atomics keep concurrent scrapers safe,
-	// exactly like the timestamps above. wakeID is the engine-scoped
-	// flow id minted by the committed notify; wakeHop is this node's
-	// 0-based position in its hand-off chain.
-	wakeID  atomic.Uint64
-	wakeHop atomic.Int64
-}
-
-// wakeCtx is the causal context a poster stamps onto the node it wakes:
-// the flow id of the committed notify, the poster's own node id (0 when
-// the poster is the notifier's commit handler), and the hop index the
-// woken node occupies in its chain.
-type wakeCtx struct {
-	id     uint64
-	parent uint64
-	hop    int64
+	// Causal wake stamp (DESIGN.md §15): the engine-scoped flow id
+	// minted by the committed notify, stored in wakeNode before the
+	// semaphore post and consumed (Swap(0)) by the woken owner in
+	// noteWake. The semaphore hand-off orders the store before the
+	// owner's read; an atomic keeps concurrent scrapers safe, exactly
+	// like the timestamps above.
+	wakeID atomic.Uint64
 }
 
 // wakeBatch is the shared bookkeeping of one committed notify batch:
@@ -237,36 +198,27 @@ type CondVar struct {
 	// exact despite living outside the STM.
 	depth stats.Gauge
 
-	// procs is GOMAXPROCS sampled once at construction: the auto
-	// wake-fanout policy reads it on every committed broadcast, and
-	// re-sampling there put a runtime call on the commit handler's
-	// critical path (the same once-per-object rule sem.Sem applies).
-	procs int
-
 	// depthInc is the enqueue commit handler, allocated once: every
 	// Wait registers it via OnCommit, and building the closure per
 	// enqueue attempt was a measurable share of the park path's garbage.
 	depthInc func()
 
-	// Per-condvar wake-chain instruments behind RegisterChainMetrics
-	// (the named-CV view of the aggregate CVStats chain metrics).
-	// chainOn is a setup-time flag like st: when false — the default —
-	// the wake path never touches these.
-	chainOn    bool
-	chainDepth obs.Histogram
-	hopNanos   obs.Histogram
+	// Per-condvar wake-consumer counters behind RegisterWakeMetrics (the
+	// named-CV view of the aggregate CVStats consumer counters).
+	// consumedOn is a setup-time flag like st: when false — the default —
+	// the wake path never touches them.
+	consumedOn bool
 	consumed   [3]stats.Counter // indexed by obs.WakeBy* consumer codes
 }
 
 // New creates a condition variable whose internal transactions run on e.
 func New(e *stm.Engine, opts Options) *CondVar {
 	cv := &CondVar{
-		e:     e,
-		head:  stm.NewVar[*Node](e, nil),
-		tail:  stm.NewVar[*Node](e, nil),
-		opts:  opts,
-		id:    cvSeq.Add(1),
-		procs: runtime.GOMAXPROCS(0),
+		e:    e,
+		head: stm.NewVar[*Node](e, nil),
+		tail: stm.NewVar[*Node](e, nil),
+		opts: opts,
+		id:   cvSeq.Add(1),
 	}
 	cv.depthInc = func() { cv.depth.Inc() }
 	cv.pool.New = func() any { return cv.newNode() }
@@ -358,11 +310,9 @@ func (cv *CondVar) releaseNode(n *Node) {
 	n.gen.Add(1)
 	n.inQueue.Store(false)
 	// noteWake consumed these on every legal path; clear anyway so a
-	// recycled node never inherits a stale chain link, batch, or flow.
-	n.wakeNext.Store(nil)
+	// recycled node never inherits a stale batch or flow.
 	n.batch.Store(nil)
 	n.wakeID.Store(0)
-	n.wakeHop.Store(0)
 	if cv.opts.NoNodePool {
 		return
 	}
@@ -442,10 +392,10 @@ func (cv *CondVar) Wait(s syncx.Sync, cont func(syncx.Sync)) {
 	// here must be memorized by the semaphore, never lost.
 	cv.faultWindow(fault.CVEnqueue, n.id)
 	n.sem.Wait() // line 10: sleep until notified
-	flow, hop := cv.noteWake(n, obs.WakeByWaiter)
+	flow := cv.noteWake(n, obs.WakeByWaiter)
 	cv.releaseNode(n)
 	if cont != nil {
-		s.Exec(cv.flowCont(flow, hop, cont)) // lines 11–13
+		s.Exec(cv.flowCont(flow, cont)) // lines 11–13
 	}
 }
 
@@ -455,13 +405,13 @@ func (cv *CondVar) Wait(s syncx.Sync, cont func(syncx.Sync)) {
 // attempt never claims its wake). When there is no flow to bind or the
 // tracer is disarmed it returns cont unchanged — no closure allocation
 // on the zero-overhead path.
-func (cv *CondVar) flowCont(flow uint64, hop int64, cont func(syncx.Sync)) func(syncx.Sync) {
+func (cv *CondVar) flowCont(flow uint64, cont func(syncx.Sync)) func(syncx.Sync) {
 	if flow == 0 || !cv.e.Tracer().Enabled() {
 		return cont
 	}
 	return func(s syncx.Sync) {
 		if tx := s.Tx(); tx != nil {
-			tx.TraceFlow(obs.EvWakeTxn, flow, hop, 0)
+			tx.TraceFlow(obs.EvWakeTxn, flow, 0, 0)
 		}
 		cont(s)
 	}
@@ -478,10 +428,10 @@ func (cv *CondVar) WaitTagged(s syncx.Sync, tag any, cont func(syncx.Sync)) {
 	s.End()
 	cv.faultWindow(fault.CVEnqueue, n.id)
 	n.sem.Wait()
-	flow, hop := cv.noteWake(n, obs.WakeByWaiter)
+	flow := cv.noteWake(n, obs.WakeByWaiter)
 	cv.releaseNode(n)
 	if cont != nil {
-		s.Exec(cv.flowCont(flow, hop, cont))
+		s.Exec(cv.flowCont(flow, cont))
 	}
 }
 
@@ -535,8 +485,7 @@ func (cv *CondVar) WaitLockedTimeout(m *syncx.Mutex, d time.Duration) bool {
 	}
 	// A notifier got the node first; its post is banked or imminent
 	// (imminent = after its outer transaction commits). Treat as
-	// notified — but attribute the consumed wake to the timed-out loser,
-	// and let noteWake keep the hand-off chain draining through it.
+	// notified — but attribute the consumed wake to the timed-out loser.
 	n.sem.Wait()
 	cv.noteWake(n, obs.WakeByTimeout)
 	cv.releaseNode(n)
@@ -583,7 +532,7 @@ func (cv *CondVar) WaitLockedCtx(m *syncx.Mutex, ctx context.Context) bool {
 	// (imminent = after its outer transaction commits). Consume it —
 	// abandoning it here would strand a permit in the pooled node and
 	// wake a future, unrelated waiter spuriously. The consumed wake is
-	// attributed to the cancelled loser; its chain successor still wakes.
+	// attributed to the cancelled loser.
 	n.sem.Wait()
 	cv.noteWake(n, obs.WakeByCancel)
 	cv.releaseNode(n)
@@ -617,14 +566,14 @@ func (cv *CondVar) WaitCtx(s syncx.Sync, ctx context.Context, cont func(syncx.Sy
 			return false
 		}
 		// Lost the race to a notifier: treat as notified, attributed to
-		// the cancelled loser (the chain still drains through noteWake).
+		// the cancelled loser.
 		n.sem.Wait()
 		by = obs.WakeByCancel
 	}
-	flow, hop := cv.noteWake(n, by)
+	flow := cv.noteWake(n, by)
 	cv.releaseNode(n)
 	if cont != nil {
-		s.Exec(cv.flowCont(flow, hop, cont))
+		s.Exec(cv.flowCont(flow, cont))
 	}
 	return true
 }
@@ -687,13 +636,13 @@ func (cv *CondVar) WaitTx(tx *stm.Tx) {
 	tx.CommitEarly()
 	cv.faultWindow(fault.CVEnqueue, n.id)
 	n.sem.Wait()
-	flow, hop := cv.noteWake(n, obs.WakeByWaiter)
+	flow := cv.noteWake(n, obs.WakeByWaiter)
 	cv.releaseNode(n)
 	if flow != 0 {
 		// Bind the waiter's resumed transaction into the wake DAG. tx is
 		// post-CommitEarly, so TraceFlow emits directly on the txn lane —
 		// the code from here to the lexical end runs exactly once.
-		tx.TraceFlow(obs.EvWakeTxn, flow, hop, 0)
+		tx.TraceFlow(obs.EvWakeTxn, flow, 0, 0)
 	}
 }
 
@@ -733,12 +682,10 @@ func (cv *CondVar) WaitAtCommit(tx *stm.Tx) {
 // wakeNode performs the committed post of one dequeued node: the fault
 // window, the enqueue→notify latency observation, the causal wake stamp,
 // the sempost trace event, and the semaphore post itself. depth is the
-// committed queue depth the dequeue observed (0 for chained wakes, where
-// the poster is another waiter, not the notifier). wk is the causal
-// context of this post — the committed notify's wakeID and this node's
-// hop position. Queue-depth bookkeeping belongs to the caller —
-// notifyCommitted for singles, wakeCommitted for batches.
-func (cv *CondVar) wakeNode(n *Node, depth int64, wk wakeCtx) {
+// committed queue depth the dequeue observed and wakeID the flow id the
+// committed notify minted. Queue-depth bookkeeping belongs to the
+// caller — notifyCommitted for singles, wakeCommitted for batches.
+func (cv *CondVar) wakeNode(n *Node, depth int64, wakeID uint64) {
 	// Fault hook: stall between the committed dequeue and the semaphore
 	// post — the window in which a timed-out or cancelled waiter races a
 	// wake-up it can no longer refuse.
@@ -752,12 +699,12 @@ func (cv *CondVar) wakeNode(n *Node, depth int64, wk wakeCtx) {
 	// Stored before Post: the semaphore hand-off orders these stores
 	// before the woken waiter's reads in noteWake (DESIGN.md §15).
 	n.notifiedNS.Store(now)
-	n.wakeID.Store(wk.id)
-	n.wakeHop.Store(wk.hop)
+	n.wakeID.Store(wakeID)
 	if tr := cv.e.Tracer(); tr.Enabled() {
 		tr.Emit(n.id, obs.EvCVSemPost, int64(n.id), depth)
-		if wk.id != 0 {
-			tr.EmitFlow(n.id, obs.EvWakeHop, wk.id, int64(wk.parent), wk.hop)
+		if wakeID != 0 {
+			// Every hop is notifier-posted: poster 0, hop index 0.
+			tr.EmitFlow(n.id, obs.EvWakeHop, wakeID, 0, 0)
 		}
 	}
 	n.inQueue.Store(false)
@@ -776,22 +723,18 @@ func (cv *CondVar) notifyCommitted(n *Node) {
 	}
 	// Mint the causal wake id here — the moment the notify became real
 	// (the commit handler fired, or the immediate-post ablation path ran).
-	wk := wakeCtx{id: cv.e.NextWakeID()}
+	wakeID := cv.e.NextWakeID()
 	if tr := cv.e.Tracer(); tr.Enabled() {
-		tr.EmitFlow(cv.id, obs.EvWakeRoot, wk.id, 1, int64(cv.id))
+		tr.EmitFlow(cv.id, obs.EvWakeRoot, wakeID, 1, int64(cv.id))
 	}
-	cv.wakeNode(n, d, wk)
+	cv.wakeNode(n, d, wakeID)
 }
 
 // wakeCommitted is the committed side of a batched NotifyAll/NotifyN:
-// one commit handler for the whole dequeued batch. It performs the
-// batch's depth bookkeeping and sanitizer generation checks, then
-// unparks the first WakeFanout waiters; every other waiter is unparked
-// by its predecessor (each woken waiter's noteWake posts the node
-// WakeFanout places behind it). The committing transaction therefore
-// pays O(fanout) semaphore posts instead of O(batch), and the wake wave
-// spreads across the woken goroutines themselves — the paper's deferred
-// SEMPOST (Algorithm 6) without the thundering-herd commit handler.
+// one commit handler for the whole dequeued batch — the paper's deferred
+// SEMPOST loop (Algorithm 6). It performs the batch's depth bookkeeping
+// and sanitizer generation checks, then posts every dequeued node
+// itself, in queue order.
 func (cv *CondVar) wakeCommitted(nodes []*Node, gens []uint64) {
 	total := len(nodes)
 	if total == 0 {
@@ -817,76 +760,38 @@ func (cv *CondVar) wakeCommitted(nodes []*Node, gens []uint64) {
 		wb = &wakeBatch{startNS: monoNS(), st: cv.st}
 		wb.remaining.Store(int64(total))
 	}
-	// One wakeID per committed batch: every hop of every chain this
-	// broadcast starts carries it (the flow id of the wake DAG).
+	// One wakeID per committed batch: every post of this broadcast
+	// carries it (the flow id of the wake DAG).
 	wakeID := cv.e.NextWakeID()
 	if tr := cv.e.Tracer(); tr.Enabled() {
 		tr.EmitFlow(cv.id, obs.EvWakeRoot, wakeID, int64(total), int64(cv.id))
 	}
-	fan := cv.opts.WakeFanout
-	if fan <= 0 {
-		fan = DefaultWakeFanout
-		if cv.procs == 1 {
-			// Chained hand-off trades notifier-side posts for wake-to-wake
-			// scheduling hops; with a single P there is no parallelism to
-			// win the hops back, so auto mode posts the batch directly.
-			fan = total
-		}
-	}
-	if fan > total {
-		fan = total
-	}
-	// Link every chain before waking any head: a woken head immediately
-	// chases its wakeNext pointers, which must all be in place.
 	for i, n := range nodes {
 		n.batch.Store(wb)
-		if i+fan < total {
-			n.wakeNext.Store(nodes[i+fan])
-		}
-	}
-	for i := 0; i < fan; i++ {
-		cv.wakeNode(nodes[i], d-int64(i), wakeCtx{id: wakeID})
+		cv.wakeNode(n, d-int64(i), wakeID)
 	}
 }
 
 // noteWake records the waiter side of a wake-up: the notify→wake latency
-// (runtime rescheduling cost), the chain-position and consumer-kind
-// instruments, and the wake trace events. It must run before
-// releaseNode, which retires the node's incarnation. by is the consumer
-// code (obs.WakeBy*): a live waiter, or a timeout/cancel loser that kept
-// a raced permit. It returns the consumed flow id and hop index so the
-// resume path can bind the waiter's next transaction into the wake DAG
-// (Wait's continuation wrapper, WaitTx's post-resume flow step).
-//
-// It is also the engine of the chained hand-off: a waiter woken as part
-// of a batch unparks its chain successor first — before its own
-// bookkeeping, continuation, or lock re-acquisition — so the wake wave
-// keeps moving even if this goroutine immediately blocks on the
-// caller's mutex. Every wake-consuming path funnels through here
-// (including timeout/cancel losers that keep a raced permit), which is
-// what guarantees a dequeued chain always drains — and why a loser's
-// successor inherits hop+1 under the same flow id.
-func (cv *CondVar) noteWake(n *Node, by int64) (flow uint64, hop int64) {
-	flow = n.wakeID.Swap(0)
-	hop = n.wakeHop.Swap(0)
-	if nx := n.wakeNext.Swap(nil); nx != nil {
-		cv.wakeNode(nx, 0, wakeCtx{id: flow, parent: n.id, hop: hop + 1})
-	}
+// (runtime rescheduling cost), the batch countdown, the consumer-kind
+// counters, and the wake trace events. Every wake-consuming path funnels
+// through here, including timeout/cancel losers that keep a raced
+// permit. It must run before releaseNode, which retires the node's
+// incarnation. by is the consumer code (obs.WakeBy*). It returns the
+// consumed flow id so the resume path can bind the waiter's next
+// transaction into the wake DAG (Wait's continuation wrapper, WaitTx's
+// post-resume flow step).
+func (cv *CondVar) noteWake(n *Node, by int64) uint64 {
+	flow := n.wakeID.Swap(0)
 	if wb := n.batch.Swap(nil); wb != nil {
 		if wb.remaining.Add(-1) == 0 && wb.st != nil {
 			wb.st.BroadcastNanos.Observe(monoNS() - wb.startNS)
 		}
 	}
-	now := monoNS()
-	ns := n.notifiedNS.Load()
 	if cv.st != nil {
 		cv.st.Waits.Inc()
-		if ns != 0 {
-			cv.st.NotifyToWake.Observe(now - ns)
-		}
-		cv.st.WakeChainDepth.Observe(hop + 1)
-		if hop > 0 && ns != 0 {
-			cv.st.HandoffHopNanos.Observe(now - ns)
+		if ns := n.notifiedNS.Load(); ns != 0 {
+			cv.st.NotifyToWake.Observe(monoNS() - ns)
 		}
 		switch by {
 		case obs.WakeByTimeout:
@@ -897,22 +802,16 @@ func (cv *CondVar) noteWake(n *Node, by int64) (flow uint64, hop int64) {
 			cv.st.WakeConsumedWaiter.Inc()
 		}
 	}
-	if cv.chainOn {
-		cv.chainDepth.Observe(hop + 1)
-		if hop > 0 && ns != 0 {
-			cv.hopNanos.Observe(now - ns)
-		}
-		if by >= 0 && by < int64(len(cv.consumed)) {
-			cv.consumed[by].Inc()
-		}
+	if cv.consumedOn && by >= 0 && by < int64(len(cv.consumed)) {
+		cv.consumed[by].Inc()
 	}
 	if tr := cv.e.Tracer(); tr.Enabled() {
 		tr.Emit(n.id, obs.EvCVWake, int64(n.id), int64(cv.id))
 		if flow != 0 {
-			tr.EmitFlow(n.id, obs.EvWakeEnd, flow, hop, by)
+			tr.EmitFlow(n.id, obs.EvWakeEnd, flow, 0, by)
 		}
 	}
-	return flow, hop
+	return flow
 }
 
 // notifyPost arranges for node's semaphore to be posted: at commit of the
@@ -990,9 +889,9 @@ func (cv *CondVar) NotifyOne(tx *stm.Tx) bool {
 
 // notifyBatch is the shared dequeue body of NotifyAll and NotifyN:
 // unlink up to max waiters (max < 0 means all) and schedule one commit
-// handler that wakes the whole batch via wakeCommitted's chained
-// hand-off. On the immediate-post ablation path each node is posted
-// in-body through notifyPost instead. It returns the number dequeued.
+// handler, wakeCommitted, that posts the whole batch. On the
+// immediate-post ablation path each node is posted in-body through
+// notifyPost instead. It returns the number dequeued.
 func (cv *CondVar) notifyBatch(tx *stm.Tx, max int) int {
 	count := 0
 	body := func(tx *stm.Tx) {
@@ -1045,11 +944,9 @@ func (cv *CondVar) notifyBatch(tx *stm.Tx, max int) int {
 // NotifyAll is Algorithm 6: dequeue every waiter and schedule all their
 // wake-ups. It returns the number of waiters notified.
 //
-// The wake-ups are batched: one commit handler dequeues the whole set
-// and unparks it via chained hand-off (see wakeCommitted), so the
-// committing transaction is no longer a serial wake loop over N
-// semaphore posts. Options.WakeFanout paces the chains; a fanout at or
-// above the batch size restores the serial loop.
+// The wake-ups are batched: the transaction registers one commit
+// handler for the whole dequeued set, and that handler posts every
+// waiter's semaphore in queue order (see wakeCommitted).
 func (cv *CondVar) NotifyAll(tx *stm.Tx) int {
 	count := cv.notifyBatch(tx, -1)
 	if cv.st != nil {

@@ -70,8 +70,6 @@ func (s *CVStats) histograms() []cvHist {
 		{"wake_batch", "waiters dequeued per committed notify batch", &s.WakeBatch},
 		{"broadcast_ns", "notify-batch commit to last waiter resumed", &s.BroadcastNanos},
 		{"sem_park_ns", "park duration of descheduled waits", &s.Sem.ParkNanos},
-		{"wake_chain_depth", "chain position of each consumed wake (1 = notifier-posted)", &s.WakeChainDepth},
-		{"handoff_hop_ns", "chained hand-off hop, post to consuming waiter's resume", &s.HandoffHopNanos},
 	}
 }
 
@@ -177,28 +175,22 @@ func (cv *CondVar) RegisterIntrospect(r *registry.Registry, name string) {
 	r.RegisterWaiters(name, cv.WaitChain)
 }
 
-// RegisterChainMetrics enables this condvar's per-instance wake-chain
-// instruments and registers them into r labeled with the condvar's name
-// — the named-CV view of the aggregate CVStats chain metrics, so a
-// facility's "queue.notempty" chains are distinguishable from its
-// "queue.notfull" chains. A setup-time call like SetStats: it flips the
-// chainOn flag the wake path reads unsynchronized, so call it before
-// the condvar is shared. No-op if r is nil or the condvar is unnamed.
-func (cv *CondVar) RegisterChainMetrics(r *registry.Registry) {
+// RegisterWakeMetrics enables this condvar's per-instance wake-consumer
+// counters and registers them into r as cv_wake_consumed_total labeled
+// with the condvar's name — the named-CV view of the aggregate CVStats
+// consumer counters, so a facility's "queue.notempty" wakes are
+// distinguishable from its "queue.notfull" wakes. A setup-time call
+// like SetStats: it flips the consumedOn flag the wake path reads
+// unsynchronized, so call it before the condvar is shared. No-op if r
+// is nil or the condvar is unnamed.
+func (cv *CondVar) RegisterWakeMetrics(r *registry.Registry) {
 	if r == nil || cv.name == "" {
 		return
 	}
-	cv.chainOn = true
-	labels := registry.Labels{"cv": cv.name}
-	r.RegisterHistogram("cv_wake_chain_depth",
-		"chain position of each consumed wake (1 = notifier-posted)",
-		labels, cv.chainDepth.Snapshot)
-	r.RegisterHistogram("cv_handoff_hop_ns",
-		"chained hand-off hop, post to consuming waiter's resume",
-		labels, cv.hopNanos.Snapshot)
+	cv.consumedOn = true
 	r.RegisterCounterSet("cv_wake_consumed_total",
 		"wakes consumed, by consumer kind (waiter, or a timeout/cancel loser keeping a raced permit)",
-		labels, func() []registry.Sample {
+		registry.Labels{"cv": cv.name}, func() []registry.Sample {
 			return []registry.Sample{
 				{Labels: registry.Labels{"by": "waiter"}, Value: cv.consumed[obs.WakeByWaiter].Load()},
 				{Labels: registry.Labels{"by": "timeout"}, Value: cv.consumed[obs.WakeByTimeout].Load()},

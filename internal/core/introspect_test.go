@@ -22,9 +22,8 @@ var cvSnapshotKeys = []string{
 }
 
 var cvHistogramKeys = []string{
-	"broadcast_ns", "enqueue_to_notify_ns", "handoff_hop_ns",
-	"notify_to_wake_ns", "queue_depth", "sem_park_ns", "wake_batch",
-	"wake_chain_depth",
+	"broadcast_ns", "enqueue_to_notify_ns", "notify_to_wake_ns",
+	"queue_depth", "sem_park_ns", "wake_batch",
 }
 
 func TestCVStatsSnapshotStableAndComplete(t *testing.T) {

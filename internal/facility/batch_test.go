@@ -1,7 +1,6 @@
 package facility
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -34,19 +33,20 @@ func TestTaskQueueSubmitBatch(t *testing.T) {
 
 // Wide-broadcast regression: a 64-party barrier (64 waiters released by
 // one broadcast per round) must cycle correctly under the batched wake
-// path at several fan-outs, including the pure chain and the serial
-// ablation.
+// path in each condvar configuration that changes what the commit
+// handler walks: queue order, node recycling, and the batch countdown
+// that only runs with stats attached.
 func TestBarrierWideBroadcast(t *testing.T) {
-	fanouts := []core.Options{
-		{},                        // default fan-out
-		{WakeFanout: 1},           // pure chain
-		{WakeFanout: 4},           // paced
-		{WakeFanout: math.MaxInt}, // serial loop: no chains
+	setups := []func(tk *Toolkit){
+		func(tk *Toolkit) {}, // defaults
+		func(tk *Toolkit) { tk.CVOpts.Policy = core.LIFO }, // reversed batch order
+		func(tk *Toolkit) { tk.CVOpts.NoNodePool = true },  // fresh node per wait
+		func(tk *Toolkit) { tk.CVStats = &core.CVStats{} }, // batch countdown armed
 	}
-	for _, opts := range fanouts {
-		opts := opts
+	for _, setup := range setups {
+		setup := setup
 		forEachKind(t, func(t *testing.T, tk *Toolkit) {
-			tk.CVOpts = opts
+			setup(tk)
 			const parties = 64
 			const rounds = 5
 			b := NewBarrier(tk, parties)

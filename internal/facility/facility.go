@@ -38,7 +38,7 @@ type Cond interface {
 	Wait(m *syncx.Mutex)
 	Signal()
 	// SignalN wakes up to n waiters. The TM condvar dequeues them as one
-	// batch (a single transaction + chained hand-off); the baseline
+	// batch (a single transaction + one commit handler); the baseline
 	// signals serially.
 	SignalN(n int)
 	Broadcast()
@@ -219,14 +219,13 @@ func (tk *Toolkit) NewCondNamed(name string) Cond {
 // toolkit's Label prefix, so conflict tables and traces show
 // "taskq.workAvail" instead of a bare creation site. When the toolkit
 // has an introspection registry, the named condvar also gets its
-// per-instance wake-chain instruments (cv_wake_chain_depth,
-// cv_handoff_hop_ns, cv_wake_consumed_total labeled cv=<name>) — the
-// chain metrics only make sense once the condvar has a name to label
-// them with.
+// per-instance wake-consumer counters (cv_wake_consumed_total labeled
+// cv=<name>) — they only make sense once the condvar has a name to
+// label them with.
 func (tk *Toolkit) NewCondVarNamed(name string) *core.CondVar {
 	cv := tk.NewCondVar().SetName(tk.label(name))
 	if tk.Introspect != nil {
-		cv.RegisterChainMetrics(tk.Introspect)
+		cv.RegisterWakeMetrics(tk.Introspect)
 	}
 	return cv
 }

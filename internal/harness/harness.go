@@ -51,8 +51,8 @@ type SweepConfig struct {
 	// WriteMetricsJSON serializes). Histograms are cheap (atomic adds),
 	// but collection also allocates per trial, so it is opt-in.
 	CollectMetrics bool
-	// CVOpts configures every TM condvar the sweep's runs create (wake
-	// fan-out pacing, notify policy).
+	// CVOpts configures every TM condvar the sweep's runs create (notify
+	// policy, ablations).
 	CVOpts core.Options
 	// Tracer, when non-nil, records the event lifecycle of every trial
 	// (warm-ups included) into one shared ring buffer.

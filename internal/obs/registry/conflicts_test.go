@@ -135,6 +135,13 @@ func TestConflictsInSnapshot(t *testing.T) {
 func TestConcurrentUpsertAndScrape(t *testing.T) {
 	r := New()
 	const writers, scrapes = 4, 4
+	// Writers never unregister their commits counter, so a scrape sees a
+	// non-empty registry once it exists. Register it before any scraper
+	// starts: an exposition with no samples fails validation, and a
+	// scraper that ran before every writer's first upsert saw one.
+	for w := 0; w < writers; w++ {
+		r.RegisterCounter("race_commits_total", "", Labels{"engine": fmt.Sprintf("e%d", w)}, func() int64 { return 0 })
+	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {

@@ -37,9 +37,11 @@ const (
 
 	// Causal wake-propagation events (DESIGN.md §15). All four carry the
 	// engine-scoped wakeID in Event.Flow, binding a committed notify to
-	// every hop of its hand-off chain and to the waiters that consumed it.
+	// every post it made and to the waiters that consumed them. The
+	// condvar's commit handler makes every post, so it writes poster 0
+	// and hop index 0; the fields keep the layout older dumps carry.
 	EvWakeRoot // committed notify minted a wakeID; Lane = cv id, A = batch size, B = cv id
-	EvWakeHop  // chain hop posted; Lane = node id, A = poster's node id (0 = the notifier), B = hop index
+	EvWakeHop  // wake posted; Lane = node id, A = poster's node id (0 = the notifier), B = hop index
 	EvWakeEnd  // wake consumed; Lane = node id, A = hop index, B = consumer code (WakeBy*)
 	EvWakeTxn  // woken waiter's next commit; Lane = txn id, A = hop index
 )
@@ -117,10 +119,10 @@ const (
 )
 
 // Consumer codes carried in the B argument of EvWakeEnd events: which
-// kind of waiter ultimately consumed a chained wake. A timeout/cancel
-// loser that keeps a raced permit still drains the chain — it forwards
-// its successor — but the wake itself went to a waiter that had already
-// given up, which is exactly the signal cv_wake_consumed_total surfaces.
+// kind of waiter consumed a wake. A timeout/cancel loser that keeps a
+// raced permit still completes the wait, but the wake itself went to a
+// waiter that had already given up, which is exactly the signal
+// cv_wake_consumed_total surfaces.
 const (
 	WakeByWaiter int64 = iota
 	WakeByTimeout

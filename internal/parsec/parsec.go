@@ -78,8 +78,8 @@ type Config struct {
 	// CVStats, when non-nil, aggregates condvar activity and wait-latency
 	// histograms across all the run's TM condvars.
 	CVStats *core.CVStats
-	// CVOpts configures every TM condvar the run creates (wake fan-out,
-	// policy; no-op on the pthread system).
+	// CVOpts configures every TM condvar the run creates (notify policy,
+	// ablations; no-op on the pthread system).
 	CVOpts core.Options
 	// Fault, when non-nil, is attached to the run's engine so chaos
 	// sweeps can inject deterministic faults into the benchmark's

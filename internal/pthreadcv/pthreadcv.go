@@ -202,7 +202,7 @@ func (c *Cond) Signal() {
 
 // SignalN wakes up to n waiters, one Signal at a time. The baseline has
 // no batched wake path — serial signalling is exactly what the TM
-// condvar's chained hand-off is compared against.
+// condvar's one-transaction batch is compared against.
 func (c *Cond) SignalN(n int) {
 	for i := 0; i < n; i++ {
 		c.Signal()

@@ -71,14 +71,14 @@ type Report struct {
 	Consumed int `json:"consumed"`
 	Orphans  int `json:"orphans"`
 
-	// DepthDist counts consumed wakes per 1-based chain depth — the
-	// offline mirror of cv_wake_chain_depth.
+	// DepthDist counts consumed wakes per 1-based chain depth (all 1
+	// when every hop is notifier-posted).
 	DepthDist map[int64]int `json:"depth_dist,omitempty"`
 	// FanoutDist counts flows per chain count (notifier-posted heads) —
 	// the fan-out shape histogram.
 	FanoutDist map[int]int `json:"fanout_dist,omitempty"`
-	// HopP50/HopP99 summarize chained-hop (index >= 1) latency, the
-	// offline mirror of cv_handoff_hop_ns.
+	// HopP50/HopP99 summarize chained-hop (index >= 1) latency; zero
+	// when no flow has a chained hop.
 	HopP50NS int64 `json:"hop_p50_ns"`
 	HopP99NS int64 `json:"hop_p99_ns"`
 

@@ -94,7 +94,8 @@ type DAG struct {
 }
 
 // MaxDepth returns the largest 1-based chain depth among consumed hops
-// (the quantity cv_wake_chain_depth observes), or 0 with no consumes.
+// (1 for a flow whose hops are all notifier-posted), or 0 with no
+// consumes.
 func (d *DAG) MaxDepth() int64 {
 	var m int64
 	for _, h := range d.Hops {

@@ -3,6 +3,7 @@ package waketrace_test
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 	"time"
 
@@ -14,15 +15,15 @@ import (
 )
 
 // broadcast runs a real 128-waiter broadcast under a tracer and returns
-// the quiesced tracer — the acceptance scenario of the wake-tracing
-// work: every wake DAG reconstructs with no orphan hops.
+// the quiesced tracer: the committed handler posts every waiter itself,
+// so the flow reconstructs flat — one root, every hop notifier-posted.
 func broadcast(t *testing.T, waiters int) *obs.Tracer {
 	t.Helper()
 	e := stm.NewEngine(stm.Config{})
 	tr := obs.NewTracer(1 << 16)
 	e.SetTracer(tr)
 	tr.Enable()
-	cv := core.New(e, core.Options{WakeFanout: 8}).SetName("bench.cv")
+	cv := core.New(e, core.Options{}).SetName("bench.cv")
 
 	var m syncx.Mutex
 	done := make(chan struct{}, waiters)
@@ -77,14 +78,18 @@ func checkDAGs(t *testing.T, dags []*waketrace.DAG, waiters int, via string) {
 	if total != waiters || by["waiter"] != waiters {
 		t.Errorf("%s: consumed %d (%v), want %d all by waiter", via, total, by, waiters)
 	}
-	// 128 waiters at fan-out 8 = 8 chains of 16: max depth 16 when the
-	// runtime is parallel, or 1 when GOMAXPROCS is 1 (auto direct post is
-	// overridden here by the explicit fanout, so depth is exact).
-	if want := int64(waiters / 8); d.MaxDepth() != want {
-		t.Errorf("%s: max depth %d, want %d (8 chains over %d waiters)", via, d.MaxDepth(), want, waiters)
+	// Flat: every hop is notifier-posted (poster 0, hop 0).
+	if d.MaxDepth() != 1 {
+		t.Errorf("%s: max depth %d, want 1", via, d.MaxDepth())
 	}
-	if len(d.Roots) != 8 {
-		t.Errorf("%s: %d notifier-posted heads, want 8", via, len(d.Roots))
+	if len(d.Roots) != waiters {
+		t.Errorf("%s: %d notifier-posted hops, want %d", via, len(d.Roots), waiters)
+	}
+	for _, h := range d.Hops {
+		if h.Parent != 0 || h.Index != 0 {
+			t.Errorf("%s: node %d has poster %d hop %d, want 0/0", via, h.Node, h.Parent, h.Index)
+			break
+		}
 	}
 	if d.CV != "bench.cv" {
 		t.Errorf("%s: cv name %q, want bench.cv", via, d.CV)
@@ -158,12 +163,8 @@ func TestBroadcastDAGRoundTrip(t *testing.T) {
 	if len(rep.Slowest) != 5 {
 		t.Errorf("slowest-hop table has %d entries, want 5", len(rep.Slowest))
 	}
-	depthSum := 0
-	for _, c := range rep.DepthDist {
-		depthSum += c
-	}
-	if depthSum != waiters {
-		t.Errorf("depth distribution covers %d wakes, want %d", depthSum, waiters)
+	if len(rep.DepthDist) != 1 || rep.DepthDist[1] != waiters {
+		t.Errorf("depth distribution %v, want all %d wakes at depth 1", rep.DepthDist, waiters)
 	}
 	var text bytes.Buffer
 	if err := rep.WriteText(&text); err != nil {
@@ -178,6 +179,71 @@ func TestBroadcastDAGRoundTrip(t *testing.T) {
 	}
 	if !json.Valid(js.Bytes()) {
 		t.Error("JSON report is not valid JSON")
+	}
+}
+
+// TestChainShapeFromEvents: dumps may carry chained hops (waiter-posted,
+// parent = the posting node, index = parent's + 1), and cvtrace must
+// still reconstruct and check them. A hand-built flow of two chains —
+// 10→11→12 and 20→21 — plus one hop naming a parent that posted nothing.
+func TestChainShapeFromEvents(t *testing.T) {
+	hop := func(ts int64, node uint64, parent, idx int64) waketrace.Event {
+		return waketrace.Event{TS: ts, Kind: waketrace.KindHop, Lane: node, Flow: 5, A: parent, B: idx}
+	}
+	consume := func(ts int64, node uint64, idx int64) waketrace.Event {
+		return waketrace.Event{TS: ts, Kind: waketrace.KindConsume, Lane: node, Flow: 5, A: idx}
+	}
+	evs := []waketrace.Event{
+		{TS: 0, Kind: waketrace.KindRoot, Lane: 1, Flow: 5, A: 5},
+		hop(1, 10, 0, 0), hop(2, 20, 0, 0),
+		consume(3, 10, 0), hop(4, 11, 10, 1),
+		consume(5, 20, 0), hop(6, 21, 20, 1),
+		consume(7, 11, 1), hop(8, 12, 11, 2),
+		consume(9, 21, 1),
+		consume(20, 12, 2), // the latest consume: the end of the critical path
+	}
+	dags := waketrace.Build(evs)
+	if len(dags) != 1 {
+		t.Fatalf("reconstructed %d flows, want 1", len(dags))
+	}
+	d := dags[0]
+	if problems := waketrace.Check(dags); len(problems) != 0 {
+		t.Fatalf("well-formed chains flagged: %v", problems)
+	}
+	if len(d.Roots) != 2 || d.MaxDepth() != 3 {
+		t.Fatalf("shape: %d heads, depth %d, want 2 heads, depth 3", len(d.Roots), d.MaxDepth())
+	}
+	var path []uint64
+	for _, h := range d.CriticalPath() {
+		path = append(path, h.Node)
+	}
+	if want := []uint64{10, 11, 12}; !reflect.DeepEqual(path, want) {
+		t.Fatalf("critical path %v, want %v (parent links back from the latest consume)", path, want)
+	}
+	rep := waketrace.Analyze(dags, waketrace.Options{})
+	if want := map[int64]int{1: 2, 2: 2, 3: 1}; !reflect.DeepEqual(rep.DepthDist, want) {
+		t.Errorf("depth distribution %v, want %v", rep.DepthDist, want)
+	}
+	if got := rep.PerFlow[0].SpanNS; got != 20 {
+		t.Errorf("critical-path span %d, want 20", got)
+	}
+	if rep.HopP99NS <= 0 {
+		t.Errorf("chained-hop p99 %d, want > 0", rep.HopP99NS)
+	}
+
+	// Orphan detection: a hop whose named parent posted nothing here.
+	dags = waketrace.Build(append(evs, hop(10, 30, 99, 3)))
+	if d := dags[0]; len(d.Orphans) != 1 || d.Orphans[0].Node != 30 {
+		t.Fatalf("orphans %v, want node 30", d.Orphans)
+	}
+	if problems := waketrace.Check(dags); len(problems) != 1 {
+		t.Fatalf("check found %v, want exactly the orphan", problems)
+	}
+
+	// The hop+1 rule: a child must sit one position behind its parent.
+	dags = waketrace.Build(append(evs, hop(10, 13, 12, 7)))
+	if problems := waketrace.Check(dags); len(problems) != 1 {
+		t.Fatalf("check found %v, want exactly the mis-indexed child", problems)
 	}
 }
 

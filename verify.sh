@@ -29,21 +29,21 @@ step "vet"
 go vet ./...
 
 step "tests (race detector)"
-go test -race ./...
+# -count=1 on every test step below: a cached pass is a replay, not a
+# run, and each gate here must really execute.
+go test -race -count=1 ./...
 
 step "tests (multicore: GOMAXPROCS=4 race re-run of the wake/commit fabric)"
-# The semaphore's spin phase and the condvar's chained wake branch on
-# GOMAXPROCS, and the STM's commit, snapshot-extension and serial-gate
+# The semaphore's spin phase branches on GOMAXPROCS, and the condvar's
+# batched wake and the STM's commit, snapshot-extension and serial-gate
 # races (the opacity checks in internal/stm) need several Ps running at
 # once, so a single-core host silently skips these multicore schedules.
 # Re-run the three packages with four Ps forced — the race detector sees
-# the cross-P interleavings even when the host has one CPU. GOMAXPROCS is not part of the test
-# cache key, so -count=1 is what makes this step actually run rather
-# than replay the results of the step above.
+# the cross-P interleavings even when the host has one CPU.
 GOMAXPROCS=4 go test -race -count=1 ./internal/sem ./internal/core ./internal/stm
 
 step "tests (runtime sanitizer on: -tags stmsan)"
-go test -tags stmsan ./internal/stm ./internal/core
+go test -tags stmsan -count=1 ./internal/stm ./internal/core
 
 step "cvlint (static misuse analyzers)"
 # Production code must be clean outright. Test files run against a
@@ -56,14 +56,15 @@ go run ./cmd/cvlint ./...
 go run ./cmd/cvlint -tests -baseline lint-tests.baseline ./...
 
 step "tracer overhead guard (disabled path must not allocate)"
-go test -run 'TestTraceDisabledNoAlloc|TestTraceEnabledNoAlloc|TestEmitFlowNoAlloc|TestHistogramObserveNoAlloc|TestParkLabelGateNoAlloc' ./internal/obs
-go test -run 'NoAlloc' ./internal/obs/registry
-go test -run 'TestProfilingDisabledNoAllocCommit|TestAbortPathAllocParity' ./internal/stm
-# The wake-chain stamps (wakeID mint + hop stores + consumer attribution)
-# ride the notify→post→wake hot path unconditionally; with the tracer
-# disarmed the whole cycle must stay allocation-free, bounding the
-# chain-tracing overhead on BenchmarkBroadcastWake to the atomic stores.
-go test -run 'TestWakeChainDisarmedNoAlloc' ./internal/core
+go test -count=1 -run 'TestTraceDisabledNoAlloc|TestTraceEnabledNoAlloc|TestEmitFlowNoAlloc|TestHistogramObserveNoAlloc|TestParkLabelGateNoAlloc' ./internal/obs
+go test -count=1 -run 'NoAlloc' ./internal/obs/registry
+go test -count=1 -run 'TestProfilingDisabledNoAllocCommit|TestAbortPathAllocParity' ./internal/stm
+# The wake-flow stamps (wakeID mint and store, batch countdown, consumer
+# attribution) ride the notify→post→wake hot path unconditionally; with
+# the tracer disarmed the whole cycle must stay allocation-free, bounding
+# the flow-tracing overhead on BenchmarkBroadcastWake to the atomic
+# stores.
+go test -count=1 -run 'TestWakeChainDisarmedNoAlloc' ./internal/core
 # The pooled park path: a Wait that parks and is woken must recycle its
 # waiter node and channel — 0 allocs/op once the pool is warm. Must run
 # race-free: race shadow state adds a deterministic allocation per park
@@ -75,7 +76,7 @@ grep -q ' 0 allocs/op' /tmp/obs_bench.$$ || {
 }
 rm -f /tmp/obs_bench.$$
 
-step "broadcast wake smoke (chained hand-off batch over 64+ waiters)"
+step "broadcast wake smoke (one commit handler posting 64 waiters)"
 # Fixed iteration count, not time-gated: the guard is that a wide
 # NotifyAll batch completes and every waiter resumes (the benchmark
 # b.Fatals on a short wake count), not a host-dependent latency bar.
@@ -87,12 +88,13 @@ go run ./cmd/modelcheck -waiters 2 -notifyone 1
 go run ./cmd/modelcheck -waiters 2 -notifyall 1
 
 step "chaos soak (deterministic fault injection, fixed seed)"
-go test -race ./internal/fault
+go test -race -count=1 ./internal/fault
 # The soak doubles as the causal wake-trace gate: -trace dumps the run's
-# event ring (and fails the run on any in-run wake-chain violation), then
+# event ring (and fails the run on any in-run wake-flow violation), then
 # cvtrace -check revalidates the dump offline — every committed notify's
-# wake DAG must reconstruct with no orphan hops (window-truncated flows
-# whose root predates the ring are skipped, not failed).
+# flow must reconstruct with its root and one notifier-posted hop per
+# consumed wake (window-truncated flows whose root predates the ring are
+# skipped, not failed).
 go run ./cmd/cvstress -mode chaos -seed 3405691582 -faultrate 0.25 -duration 2s \
 	-trace /tmp/chaos_trace.$$
 go run ./cmd/cvtrace -check /tmp/chaos_trace.$$
@@ -130,7 +132,7 @@ if [ "$SHORT" -eq 0 ]; then
 	go run ./cmd/crashtest -rounds 1 -seed 3405691582 -bin "$CVSTRESS"
 
 	step "regression seeds (replay recorded past-failure seeds)"
-	go test -run TestRegressionSeeds ./cmd/cvstress
+	go test -count=1 -run TestRegressionSeeds ./cmd/cvstress
 	rm -f "$CVSTRESS"
 else
 	step "skipping blackbox/crash gates (-short)"
